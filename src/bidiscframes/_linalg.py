@@ -1,9 +1,17 @@
-"""Dense linear-algebra helpers shared across the package."""
+"""Dense linear-algebra helpers shared across the package.
+
+Subspaces of the box are handled on their small side where possible: a
+test on a submodule M of dimension n - k works with an orthonormal basis
+of the k-dimensional complement K, so it costs O(n k^2) instead of the
+O(n^3) of n x n projectors and spectral norms.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+
+from .hardy import TruncatedSpace, shift_rows
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -16,23 +24,41 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _pivoted_qr(a, tol: float, mode: str):
+    """(q, rank) of a pivoted QR; pivots below tol times the leading pivot
+    count as numerically dependent."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2:
+        raise ValueError("expected a matrix")
+    n = a.shape[0]
+    if a.shape[1] == 0:
+        return np.eye(n, dtype=np.complex128), 0
+    q, r, _ = scipy.linalg.qr(a, mode=mode, pivoting=True)
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag[0] == 0.0:
+        return q, 0
+    return q, int(np.sum(diag > tol * diag[0]))
+
+
 def orthonormal_columns(a, tol: float = DEFAULT_RANK_TOL):
     """Orthonormal basis of the column span, via pivoted QR.
 
     Returns (q, rank).  Pivots below tol times the leading pivot are
     treated as numerically dependent and dropped.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128), 0
-    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128), 0
-    rank = int(np.sum(diag > tol * diag[0]))
+    q, rank = _pivoted_qr(a, tol, "economic")
     return np.ascontiguousarray(q[:, :rank]), rank
+
+
+def orthonormal_split(a, tol: float = DEFAULT_RANK_TOL):
+    """Orthonormal bases of the column span and of its orthogonal
+    complement, from one full pivoted QR.
+
+    Returns (q, complement, rank); the span basis is the one
+    orthonormal_columns gives.
+    """
+    q, rank = _pivoted_qr(a, tol, "full")
+    return np.ascontiguousarray(q[:, :rank]), np.ascontiguousarray(q[:, rank:]), rank
 
 
 def null_space_onb(a, rcond: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -64,16 +90,70 @@ def restrict_to_support(q, keep) -> np.ndarray:
     return q @ ns
 
 
+def masked_complement(k_onb, keep, tol: float = DEFAULT_RANK_TOL):
+    """The vectors orthogonal to span(k_onb) that vanish outside `keep`.
+
+    That subspace is the null space of k_onb[keep]^H, read in the
+    coordinates of `keep`.  Returns (v, dim): v is an orthonormal basis of
+    the range of k_onb[keep], so I - v v^H projects onto the subspace, and
+    dim is its dimension.  k_onb must have orthonormal columns; its row
+    blocks then have singular values at most 1, so the rank decision is
+    absolute (sigma > tol): a block of pure rounding noise has rank 0.
+    """
+    block = np.asarray(k_onb, dtype=np.complex128)[np.asarray(keep, dtype=bool)]
+    u, s, _ = np.linalg.svd(block, full_matrices=False)
+    rank = int(np.sum(s > tol))
+    return u[:, :rank], block.shape[0] - rank
+
+
+def compressed_commutator_residual(k_onb, order, a: str, b: str):
+    """Double-commutation residual of a subspace M, from its complement.
+
+    M is the orthogonal complement of span(k_onb) in the degree box
+    `order`, P its orthogonal projector, and A, B the truncated shifts
+    along the axes a, b.  Returns (residual, dim): the norm of
+    [P A P, P B^* P] on the vectors of M supported where A and B^* act
+    exactly (a-degree below the edge, b-degree at least 1), and the
+    dimension of that subspace; the residual is 0.0 when it is trivial.
+
+    A B^* = B^* A holds exactly on the box, so for x in M the commutator
+    equals P (B^* K K^H A - A K K^H B^*) x with K = k_onb.  That operator
+    has rank at most 2k and is formed from n x 2k and 2k x n factors
+    only, with the shifts applied as index moves: O(n k^2) in all.  M need
+    not be shift-invariant.
+    """
+    k = np.asarray(k_onb, dtype=np.complex128)
+    deg = dict(zip("zw", TruncatedSpace(order).degree_grid()))
+    edge = dict(zip("zw", order))
+    keep = (deg[a] < edge[a]) & (deg[b] >= 1)
+    v, dim = masked_complement(k, keep)
+    if dim == 0:
+        return 0.0, 0
+    left = np.hstack([shift_rows(k, order, b, adjoint=True), -shift_rows(k, order, a)])
+    left -= k @ (k.conj().T @ left)
+    right = np.hstack([shift_rows(k, order, a, adjoint=True), shift_rows(k, order, b)])
+    right = right[keep].conj().T
+    right -= (right @ v) @ v.conj().T
+    return opnorm(np.linalg.qr(left, mode="r") @ right), dim
+
+
 def subspace_distance(q1, q2) -> float:
-    """Gap between column spans (sine of the largest principal angle when
-    the dimensions agree)."""
+    """Gap ||P1 - P2|| between column spans (sine of the largest
+    principal angle when the dimensions agree).
+
+    Computed on the thin bases as max(||Q2 - Q1 Q1^H Q2||,
+    ||Q1 - Q2 Q2^H Q1||), which equals ||P1 - P2|| for orthogonal
+    projectors (Bjorck & Golub, Math. Comp. 27, 1973).  Each argument
+    needs Q Q^H = P: orthonormal columns, or the projector itself.
+    """
     q1 = np.asarray(q1, dtype=np.complex128)
     q2 = np.asarray(q2, dtype=np.complex128)
     if q1.shape[1] == 0 and q2.shape[1] == 0:
         return 0.0
-    p1 = q1 @ q1.conj().T
-    p2 = q2 @ q2.conj().T
-    return opnorm(p1 - p2)
+    return max(
+        opnorm(q2 - q1 @ (q1.conj().T @ q2)),
+        opnorm(q1 - q2 @ (q2.conj().T @ q1)),
+    )
 
 
 def hermitian_extremes(s):

@@ -26,7 +26,7 @@ from .frames import (
     OperatorTriple,
     frame_bounds,
     iterate,
-    synthesis_kernel,
+    synthesis_rowspace,
 )
 
 __all__ = [
@@ -193,7 +193,8 @@ def equivalent_frame_vector(triple: OperatorTriple, v, horizon) -> FrameReport:
             "frame class not preserved: "
             f"{base_report.classification} -> {moved_report.classification}"
         )
-    gap = subspace_distance(synthesis_kernel(base), synthesis_kernel(moved))
+    # the kernels agree exactly when their complements, the row spaces, do
+    gap = subspace_distance(synthesis_rowspace(base), synthesis_rowspace(moved))
     if gap > KERNEL_MATCH_TOL:
         raise InvariantViolation(
             f"synthesis kernels differ: subspace distance {gap:.3e}"

@@ -6,7 +6,9 @@ row-major enumeration as the degree boxes.  Frame bounds come from the
 spectrum of the partial frame operator; the kernel of the synthesis
 matrix is the space of coefficient relations among the iterates, and
 two structural tests probe it: invariance under the coordinate shifts
-of the horizon box, and double commutation of their compressions.
+of the horizon box, and double commutation of their compressions.  Both
+work from the row space, the kernel's complement, whose dimension is at
+most the operator dimension.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from typing import Iterator
 import numpy as np
 
 from ._linalg import (
+    compressed_commutator_residual,
     hermitian_extremes,
+    masked_complement,
     opnorm,
-    restrict_to_support,
 )
-from .hardy import DegreePair, TruncatedSpace, shift_matrix, _as_degree
+from .hardy import DegreePair, TruncatedSpace, shift_rows, _as_degree
 
 __all__ = [
     "GuardError",
@@ -34,6 +37,7 @@ __all__ = [
     "KernelCommuteReport",
     "iterate",
     "synthesis_kernel",
+    "synthesis_rowspace",
     "frame_bounds",
     "kernel_shift_invariance",
     "kernel_doubly_commutes",
@@ -230,6 +234,18 @@ def synthesis_kernel(sys: IterateSystem, rtol: float = KERNEL_RTOL) -> np.ndarra
     return vh[rank:].conj().T
 
 
+def synthesis_rowspace(sys: IterateSystem, rtol: float = KERNEL_RTOL) -> np.ndarray:
+    """Orthonormal basis of the row space of the synthesis matrix, the
+    orthogonal complement of its kernel (ncols x rank).
+
+    Same rank decision as synthesis_kernel, from a thin SVD.
+    """
+    _, s, vh = np.linalg.svd(sys.synthesis, full_matrices=False)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.sum(s > rtol * smax)) if smax > 0.0 else 0
+    return vh[:rank].conj().T
+
+
 def frame_bounds(sys: IterateSystem) -> FrameReport:
     """Extreme eigenvalues of the partial frame operator, with a trace
     over square sub-horizons and a four-way classification.
@@ -288,34 +304,37 @@ def kernel_shift_invariance(sys: IterateSystem) -> KernelInvarianceReport:
     Kernel vectors supported on the sub-box (L1-1, L2-1) are shifted by
     the horizon-box coordinate shifts (degree-safe by the support
     restriction) and pushed through the synthesis matrix; for any frame
-    system the result vanishes.  A kernel supported only on the outer rim
-    leaves nothing to check, which is reported as inconclusive.
+    system the result vanishes.  The residual is the operator norm of
+    U R P over that subspace (R a shift, P the projector onto the kernel
+    vectors supported on the sub-box), which does not depend on a choice
+    of basis.  A kernel supported only on the outer rim leaves nothing to
+    check, which is reported as inconclusive.
     """
-    kernel = synthesis_kernel(sys)
-    if kernel.shape[1] == 0:
+    rows = synthesis_rowspace(sys)
+    if rows.shape[1] == sys.ncols:
         return KernelInvarianceReport(
             residual=0.0, vacuous=True, inconclusive=False, n_checked=0,
             message="kernel is trivial; nothing to test",
         )
-    box = sys.box_space
-    ideg, jdeg = box.degree_grid()
+    ideg, jdeg = sys.box_space.degree_grid()
     keep = (ideg <= sys.horizon.d1 - 1) & (jdeg <= sys.horizon.d2 - 1)
-    basis = restrict_to_support(kernel, keep)
-    if basis.shape[1] == 0:
+    v, n_checked = masked_complement(rows, keep)
+    if n_checked == 0:
         return KernelInvarianceReport(
             residual=float("nan"), vacuous=False, inconclusive=True, n_checked=0,
             message="kernel supported only on the outer rim; enlarge horizon",
         )
-    r1 = shift_matrix(box, "z")
-    r2 = shift_matrix(box, "w")
-    u = sys.synthesis
-    res1 = np.linalg.norm(u @ (r1 @ basis), axis=0).max()
-    res2 = np.linalg.norm(u @ (r2 @ basis), axis=0).max()
+    residual = 0.0
+    for axis in ("z", "w"):
+        # U R moves U's columns: (U R)^T = R^* U^T
+        moved = shift_rows(sys.synthesis.T, sys.horizon, axis, adjoint=True).T[:, keep]
+        moved -= (moved @ v) @ v.conj().T
+        residual = max(residual, opnorm(moved))
     return KernelInvarianceReport(
-        residual=float(max(res1, res2)),
+        residual=residual,
         vacuous=False,
         inconclusive=False,
-        n_checked=basis.shape[1],
+        n_checked=n_checked,
     )
 
 
@@ -326,42 +345,24 @@ def kernel_doubly_commutes(sys: IterateSystem) -> KernelCommuteReport:
     compressed z-shift with the adjoint of the compressed w-shift is
     applied to kernel vectors supported on the interior sub-box
     (i <= L1-1, j >= 1), and mirrored for the other order.  A trivial
-    kernel is vacuously true.
+    kernel is vacuously true.  The residuals are computed from the row
+    space, the kernel's complement (see compressed_commutator_residual).
     """
-    kernel = synthesis_kernel(sys)
-    if kernel.shape[1] == 0:
+    rows = synthesis_rowspace(sys)
+    if rows.shape[1] == sys.ncols:
         return KernelCommuteReport(
             residual=0.0, verdict=True, vacuous=True, inconclusive=False,
             residual_z=0.0, residual_w=0.0, n_checked=0,
             message="trivial kernel; vacuously true",
         )
-    box = sys.box_space
-    l1, l2 = sys.horizon
-    r1 = shift_matrix(box, "z")
-    r2 = shift_matrix(box, "w")
-    ideg, jdeg = box.degree_grid()
-
-    c1 = kernel.conj().T @ r1 @ kernel
-    c2 = kernel.conj().T @ r2 @ kernel
-
-    def _residual(a, b, keep):
-        comm = a @ b.conj().T - b.conj().T @ a
-        basis = restrict_to_support(kernel, keep)
-        if basis.shape[1] == 0:
-            return None, 0
-        coords = kernel.conj().T @ basis
-        return opnorm(comm @ coords), basis.shape[1]
-
-    rz, nz = _residual(c1, c2, (ideg <= l1 - 1) & (jdeg >= 1))
-    rw, nw = _residual(c2, c1, (jdeg <= l2 - 1) & (ideg >= 1))
-    if rz is None and rw is None:
+    rz, nz = compressed_commutator_residual(rows, sys.horizon, "z", "w")
+    rw, nw = compressed_commutator_residual(rows, sys.horizon, "w", "z")
+    if nz == 0 and nw == 0:
         return KernelCommuteReport(
             residual=float("nan"), verdict=False, vacuous=False, inconclusive=True,
             residual_z=float("nan"), residual_w=float("nan"), n_checked=0,
             message="kernel supported only on the outer rim; enlarge horizon",
         )
-    rz = 0.0 if rz is None else rz
-    rw = 0.0 if rw is None else rw
     residual = max(rz, rw)
     return KernelCommuteReport(
         residual=float(residual),

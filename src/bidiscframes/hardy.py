@@ -30,6 +30,7 @@ __all__ = [
     "shift_z",
     "shift_w",
     "shift_matrix",
+    "shift_rows",
     "adjoint_shift",
     "mult_operator",
     "seq_to_poly",
@@ -285,6 +286,28 @@ def shift_matrix(space: TruncatedSpace, axis: str) -> np.ndarray:
             if j + 1 <= n2:
                 a[space.index(i, j + 1), k] = 1.0
     return a
+
+
+def shift_rows(x, order, axis: str, adjoint: bool = False) -> np.ndarray:
+    """Truncated coordinate shift, or its adjoint, applied to the rows of x.
+
+    Equals ``shift_matrix(space, axis) @ x`` (``adjoint_shift`` for the
+    adjoint) on a space of the given order, computed as an index move on
+    the ``(N1+1, N2+1, ...)`` coefficient grid instead of a matrix product.
+    """
+    _check_axis(axis)
+    n1, n2 = _as_degree(order)
+    x = np.asarray(x)
+    grid = x.reshape(n1 + 1, n2 + 1, -1)
+    out = np.zeros_like(grid)
+    src = [slice(None)] * 3
+    dst = [slice(None)] * 3
+    ax = _AXES.index(axis)
+    src[ax], dst[ax] = slice(None, -1), slice(1, None)
+    if adjoint:
+        src, dst = dst, src
+    out[tuple(dst)] = grid[tuple(src)]
+    return out.reshape(x.shape)
 
 
 def adjoint_shift(space: TruncatedSpace, axis: str) -> np.ndarray:

@@ -25,9 +25,8 @@ from .frames import (
     IterateSystem,
     OperatorTriple,
     frame_bounds,
-    synthesis_kernel,
 )
-from .hardy import TruncatedSpace, shift_matrix
+from .hardy import shift_rows
 from .submodule import QuotientModel
 
 __all__ = [
@@ -206,10 +205,8 @@ def recover_model(sys: IterateSystem, rtol: float = 1e-10) -> ModelRecovery:
     cond_w = float(svals[0] / svals[rank - 1]) if rank else np.inf
 
     box = sys.box_space
-    r1 = shift_matrix(box, "z")
-    r2 = shift_matrix(box, "w")
-    jordan_z = k_onb.conj().T @ r1 @ k_onb
-    jordan_w = k_onb.conj().T @ r2 @ k_onb
+    jordan_z = k_onb.conj().T @ shift_rows(k_onb, sys.horizon, "z")
+    jordan_w = k_onb.conj().T @ shift_rows(k_onb, sys.horizon, "w")
 
     ideg, jdeg = box.degree_grid()
     l1, l2 = sys.horizon

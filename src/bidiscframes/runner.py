@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import re
 import time
 import warnings
@@ -36,7 +37,7 @@ from .frames import (
     iterate,
     kernel_doubly_commutes,
     kernel_shift_invariance,
-    synthesis_kernel,
+    synthesis_rowspace,
 )
 from .hardy import BidiscPoly, DegreePair, TruncatedSpace, make_space, shift_matrix
 from .inner import InnerSpec, build_inner
@@ -104,6 +105,26 @@ def _parse_inner(value) -> InnerSpec:
     raise ValueError("inner must be a catalog name or a serialized spec")
 
 
+def _integer(value, key: str) -> int:
+    """An integer; booleans, floats and strings are refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _degree_pair(value, key: str) -> DegreePair:
+    """Two non-negative integers, as a JSON list."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{key} must be a list of two non-negative integers, got {value!r}")
+    pair = DegreePair(*(_integer(v, key) for v in value))
+    if min(pair) < 0:
+        raise ValueError(f"{key} must be nonnegative, got {tuple(pair)}")
+    return pair
+
+
 _KNOWN_KEYS = {
     "order", "horizon", "inner", "generators", "fixture",
     "transport", "checks", "seed", "output", "format",
@@ -146,18 +167,14 @@ class ExperimentConfig:
             raise ValueError(f"give at most one of inner/generators/fixture, got {recipes}")
 
         if "order" in merged:
-            order = DegreePair(int(merged["order"][0]), int(merged["order"][1]))
+            order = _degree_pair(merged["order"], "order")
         elif fixture is not None:
             order = fixture.order
         else:
             raise ValueError("config requires an order (or a fixture with a default)")
-        if min(order) < 0:
-            raise ValueError(f"order must be nonnegative, got {tuple(order)}")
 
         if "horizon" in merged:
-            horizon = DegreePair(int(merged["horizon"][0]), int(merged["horizon"][1]))
-            if min(horizon) < 0:
-                raise ValueError(f"horizon must be nonnegative, got {tuple(horizon)}")
+            horizon = _degree_pair(merged["horizon"], "horizon")
             if not order.covers(horizon):
                 warnings.warn(
                     f"horizon {tuple(horizon)} exceeds order {tuple(order)}; "
@@ -195,9 +212,10 @@ class ExperimentConfig:
             inner=inner,
             generators=gens,
             fixture=fixture_name,
-            seed=int(merged.get("seed", 0)),
+            seed=_integer(merged.get("seed", 0), "seed"),
             transport_seed=(
-                int(transport_cfg["seed"]) if "seed" in transport_cfg else None
+                _integer(transport_cfg["seed"], "transport seed")
+                if "seed" in transport_cfg else None
             ),
             condition_cap=float(transport_cfg.get("condition_cap", 1e3)),
             output=merged.get("output"),
@@ -499,7 +517,8 @@ def _check_similarity(ctx: RunContext) -> CheckResult:
         moved.lower >= smin**2 * base.lower - slack
         and moved.upper <= smax**2 * base.upper + slack
     )
-    gap = subspace_distance(synthesis_kernel(ctx.system), synthesis_kernel(moved_sys))
+    # kernel gap = row-space gap, since P_N = I - P_R
+    gap = subspace_distance(synthesis_rowspace(ctx.system), synthesis_rowspace(moved_sys))
     l_est = estimate_similarity(ctx.system, moved_sys)
     uniq = uniqueness_of_L(ctx.system, l, l_est)
     passed = (
@@ -525,10 +544,7 @@ def _check_similarity(ctx: RunContext) -> CheckResult:
 
 def _check_recover(ctx: RunContext) -> CheckResult:
     rec = recover_model(ctx.system)
-    gap = subspace_distance(
-        ctx.system.synthesis.conj().T @ np.linalg.pinv(ctx.system.synthesis.conj().T),
-        rec.k_onb @ rec.k_onb.conj().T,
-    )
+    gap = subspace_distance(synthesis_rowspace(ctx.system), rec.k_onb)
     passed = (
         rec.intertwine_residual_z <= 1e-7
         and rec.intertwine_residual_w <= 1e-7

@@ -6,10 +6,15 @@ degree-safe: spanning products that would leave the degree box are
 excluded rather than clipped, so the span is genuinely shift-invariant
 inside the box whenever the generators are exact polynomials.
 
-The quotient model carries the orthogonal projector onto the complement,
-an orthonormal basis of it, the two compressed shifts (a commuting pair
-of nilpotent matrices, the two-variable analogue of a Jordan block), and
-the compression of the constant 1 as the distinguished seed vector.
+Every submodule also carries an orthonormal basis of its orthogonal
+complement, taken from the same full pivoted QR that gives its own
+basis.  The quotient model is built on that complement: the two
+compressed shifts (a commuting pair of nilpotent matrices, the
+two-variable analogue of a Jordan block) and the compression of the
+constant 1 as the distinguished seed vector.  Its n x n orthogonal
+projector is built on demand, only when read.  The double-commutation
+test also works from the complement, so nothing past the spanning QR
+costs more than O(n k^2) for a quotient of dimension k.
 """
 
 from __future__ import annotations
@@ -23,12 +28,11 @@ import numpy as np
 
 from ._linalg import (
     DEFAULT_RANK_TOL,
-    null_space_onb,
+    compressed_commutator_residual,
     opnorm,
-    orthonormal_columns,
-    restrict_to_support,
+    orthonormal_split,
 )
-from .hardy import BidiscPoly, DegreePair, TruncatedSpace, shift_matrix
+from .hardy import BidiscPoly, DegreePair, TruncatedSpace, shift_rows
 from .inner import InnerPoly, InnerSpec, build_inner
 
 __all__ = [
@@ -50,15 +54,18 @@ __all__ = [
 
 APPROX_WARN_LEVEL = 1e-6
 COMMUTE_TOL = 1e-8
+COMPLEMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SubmoduleModel:
-    """Shift-invariant subspace with an orthonormal column basis."""
+    """Shift-invariant subspace with an orthonormal column basis, and an
+    orthonormal basis of its orthogonal complement."""
 
     space: TruncatedSpace
     kind: str  # "beurling" | "generated" | "zero" | "full"
     onb: np.ndarray
+    complement: np.ndarray
     rank: int
     inner: InnerPoly | None = None
     generators: tuple[BidiscPoly, ...] = ()
@@ -80,12 +87,17 @@ class QuotientModel:
     """Orthogonal complement of a submodule, with its compressed shifts."""
 
     parent: SubmoduleModel
-    projector: np.ndarray
     onb_k: np.ndarray
     jordan_z: np.ndarray
     jordan_w: np.ndarray
     seed: np.ndarray
     comm_residual: float
+
+    @property
+    def projector(self) -> np.ndarray:
+        """Orthogonal projector onto the quotient (n x n), built on each read."""
+        q = self.parent.onb
+        return np.eye(q.shape[0], dtype=np.complex128) - q @ q.conj().T
 
     @property
     def dim(self) -> int:
@@ -140,7 +152,7 @@ def beurling_submodule(phi: InnerPoly, space: TruncatedSpace,
             stacklevel=2,
         )
     cols = _monomial_multiples(phi.poly, space)
-    onb, rank = orthonormal_columns(np.column_stack(cols), tol=tol)
+    onb, complement, rank = orthonormal_split(np.column_stack(cols), tol=tol)
     p, q = phi.poly.maxdeg
     expected = (space.order.d1 - p + 1) * (space.order.d2 - q + 1)
     if rank != expected:
@@ -148,7 +160,8 @@ def beurling_submodule(phi: InnerPoly, space: TruncatedSpace,
             f"rank {rank} != expected {expected}; generator is not behaving "
             "like an isometric multiplier at this tolerance"
         )
-    return SubmoduleModel(space=space, kind="beurling", onb=onb, rank=rank, inner=phi)
+    return SubmoduleModel(space=space, kind="beurling", onb=onb,
+                          complement=complement, rank=rank, inner=phi)
 
 
 def generated_submodule(generators: Iterable[BidiscPoly], space: TruncatedSpace,
@@ -164,9 +177,10 @@ def generated_submodule(generators: Iterable[BidiscPoly], space: TruncatedSpace,
         cols.extend(_monomial_multiples(g, space))
     if not cols:
         return zero_submodule(space)
-    onb, rank = orthonormal_columns(np.column_stack(cols), tol=tol)
+    onb, complement, rank = orthonormal_split(np.column_stack(cols), tol=tol)
     return SubmoduleModel(
-        space=space, kind="generated", onb=onb, rank=rank, generators=gens
+        space=space, kind="generated", onb=onb, complement=complement,
+        rank=rank, generators=gens,
     )
 
 
@@ -175,6 +189,7 @@ def zero_submodule(space: TruncatedSpace) -> SubmoduleModel:
         space=space,
         kind="zero",
         onb=np.zeros((space.dim, 0), dtype=np.complex128),
+        complement=np.eye(space.dim, dtype=np.complex128),
         rank=0,
     )
 
@@ -184,6 +199,7 @@ def full_submodule(space: TruncatedSpace) -> SubmoduleModel:
         space=space,
         kind="full",
         onb=np.eye(space.dim, dtype=np.complex128),
+        complement=np.zeros((space.dim, 0), dtype=np.complex128),
         rank=space.dim,
     )
 
@@ -194,31 +210,29 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
     The compressed shifts commute exactly for exact submodules; for
     approximate (truncated-inner) parents the commutation defect is of
     the order of the truncation tail and is recorded with a warning.
+
+    The complement basis K is certified by ||K^H K - I|| and ||Q^H K||
+    (Q the submodule basis), both at most 1e-10.  This stands in for
+    checking the projector P = K K^H: P is Hermitian by construction, and
+    ||P^2 - P|| = ||K (K^H K - I) K^H|| <= e (1 + e) with e = ||K^H K - I||.
     """
     space = sub.space
-    n = space.dim
-    q = sub.onb
-    projector = np.eye(n, dtype=np.complex128) - q @ q.conj().T
-    if sub.rank == 0:
-        onb_k = np.eye(n, dtype=np.complex128)
-    else:
-        onb_k = null_space_onb(q.conj().T)
-    if onb_k.shape[1] != n - sub.rank:
+    q, onb_k = sub.onb, sub.complement
+    k = onb_k.shape[1]
+    if k != space.dim - sub.rank:
         raise RuntimeError("complement dimension mismatch")
-    if onb_k.shape[1] == 0:
+    if k == 0:
         warnings.warn("trivial quotient: submodule fills the whole box", stacklevel=2)
 
-    herm = opnorm(projector - projector.conj().T)
-    idem = opnorm(projector @ projector - projector)
-    if herm > 1e-10 or idem > 1e-10:
+    orth = opnorm(onb_k.conj().T @ onb_k - np.eye(k))
+    cross = opnorm(q.conj().T @ onb_k)
+    if orth > COMPLEMENT_TOL or cross > COMPLEMENT_TOL:
         raise RuntimeError(
-            f"projector defect beyond tolerance (herm {herm:.2e}, idem {idem:.2e})"
+            f"complement defect beyond tolerance (orth {orth:.2e}, cross {cross:.2e})"
         )
 
-    sz = shift_matrix(space, "z")
-    sw = shift_matrix(space, "w")
-    jordan_z = onb_k.conj().T @ sz @ onb_k
-    jordan_w = onb_k.conj().T @ sw @ onb_k
+    jordan_z = onb_k.conj().T @ shift_rows(onb_k, space.order, "z")
+    jordan_w = onb_k.conj().T @ shift_rows(onb_k, space.order, "w")
     seed = onb_k.conj().T @ space.basis_vector(0, 0)
 
     comm = opnorm(jordan_z @ jordan_w - jordan_w @ jordan_z)
@@ -232,7 +246,6 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
         )
     return QuotientModel(
         parent=sub,
-        projector=projector,
         onb_k=onb_k,
         jordan_z=jordan_z,
         jordan_w=jordan_w,
@@ -261,19 +274,6 @@ def codimension_profile(spec: InnerSpec, orders: Sequence) -> list[int]:
     return profile
 
 
-def _compressed_commutator_residual(onb, a, b, keep):
-    """Norm of [A_c, B_c^H] over basis vectors of span(onb) supported in
-    `keep`, where A_c, B_c are the compressions of a, b to span(onb)."""
-    ac = onb.conj().T @ a @ onb
-    bc = onb.conj().T @ b @ onb
-    comm = ac @ bc.conj().T - bc.conj().T @ ac
-    basis = restrict_to_support(onb, keep)
-    if basis.shape[1] == 0:
-        return 0.0, 0
-    coords = onb.conj().T @ basis
-    return opnorm(comm @ coords), basis.shape[1]
-
-
 def doubly_commute_test(sub: SubmoduleModel) -> DoublyCommuteReport:
     """Test whether the restricted shifts doubly commute on the submodule.
 
@@ -283,19 +283,15 @@ def doubly_commute_test(sub: SubmoduleModel) -> DoublyCommuteReport:
     excludes truncation-edge artifacts; the w-test mirrors the masks.
     Characterization: the submodules of the single-inner-function form
     pass, and e.g. the span generated by {z, w} fails with residual 1.
+    The residuals are computed from the complement basis alone (see
+    compressed_commutator_residual).
     """
     if sub.rank < 1:
         raise ValueError("doubly-commute test needs a nonzero submodule")
     space = sub.space
     n1, n2 = space.order
-    sz = shift_matrix(space, "z")
-    sw = shift_matrix(space, "w")
-    ideg, jdeg = space.degree_grid()
-
-    keep_z = (ideg <= n1 - 1) & (jdeg >= 1)
-    keep_w = (jdeg <= n2 - 1) & (ideg >= 1)
-    rz, nz = _compressed_commutator_residual(sub.onb, sz, sw, keep_z)
-    rw, nw = _compressed_commutator_residual(sub.onb, sw, sz, keep_w)
+    rz, nz = compressed_commutator_residual(sub.complement, space.order, "z", "w")
+    rw, nw = compressed_commutator_residual(sub.complement, space.order, "w", "z")
     residual = max(rz, rw)
     return DoublyCommuteReport(
         residual_interior=residual,
