@@ -137,6 +137,25 @@ def compressed_commutator_residual(k_onb, order, a: str, b: str):
     return opnorm(np.linalg.qr(left, mode="r") @ right), dim
 
 
+def iterate_grid(t1, t2, phi, l1: int, l2: int) -> np.ndarray:
+    """The iterates v[i, j] = T2^j T1^i phi for i <= l1, j <= l2, as an
+    (l1+1, l2+1, dim) array.
+
+    Filled by the recurrence v[i+1, 0] = T1 v[i, 0], v[i, j+1] = T2 v[i, j],
+    so each vector costs one matrix application, and v[i, j] comes out of
+    exactly the products that applying T1 i times, then T2 j times, makes.
+    """
+    phi = np.asarray(phi, dtype=np.complex128)
+    v = np.zeros((l1 + 1, l2 + 1, phi.shape[0]), dtype=np.complex128)
+    v[0, 0] = phi
+    for i in range(l1):
+        v[i + 1, 0] = t1 @ v[i, 0]
+    for i in range(l1 + 1):
+        for j in range(l2):
+            v[i, j + 1] = t2 @ v[i, j]
+    return v
+
+
 def subspace_distance(q1, q2) -> float:
     """Gap ||P1 - P2|| between column spans (sine of the largest
     principal angle when the dimensions agree).

@@ -9,12 +9,18 @@ two structural tests probe it: invariance under the coordinate shifts
 of the horizon box, and double commutation of their compressions.  Both
 work from the row space, the kernel's complement, whose dimension is at
 most the operator dimension.
+
+Each system factorises its synthesis matrix once: one thin SVD, cached
+on the system, gives the rank, the kernel dimension and the row space,
+and the frame report is cached beside it.  iterate() marks the arrays
+read-only, so neither cache can go stale.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -22,7 +28,9 @@ import numpy as np
 from ._linalg import (
     compressed_commutator_residual,
     hermitian_extremes,
+    iterate_grid,
     masked_complement,
+    null_space_onb,
     opnorm,
 )
 from .hardy import DegreePair, TruncatedSpace, shift_rows, _as_degree
@@ -30,6 +38,7 @@ from .hardy import DegreePair, TruncatedSpace, shift_rows, _as_degree
 __all__ = [
     "GuardError",
     "InvariantViolation",
+    "PreconditionError",
     "OperatorTriple",
     "IterateSystem",
     "FrameReport",
@@ -59,6 +68,11 @@ class GuardError(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """A mathematical property that was asserted failed to hold."""
+
+
+class PreconditionError(ValueError):
+    """The hypothesis of a mathematical test is false for its input (for
+    example "not a frame"); the runner records it as that check's FAIL."""
 
 
 def _dim_limit() -> int:
@@ -96,7 +110,7 @@ class OperatorTriple:
             )
         comm = opnorm(t1 @ t2 - t2 @ t1)
         if comm > COMM_TOL:
-            raise ValueError(f"operators do not commute: residual {comm:.3e}")
+            raise PreconditionError(f"operators do not commute: residual {comm:.3e}")
         object.__setattr__(self, "T1", t1)
         object.__setattr__(self, "T2", t2)
         object.__setattr__(self, "phi", phi)
@@ -107,7 +121,12 @@ class OperatorTriple:
 @dataclass(frozen=True)
 class IterateSystem:
     """All iterates of the seed inside a horizon box, plus their synthesis
-    matrix (dim x n_columns, columns in row-major horizon order)."""
+    matrix (dim x n_columns, columns in row-major horizon order).
+
+    The thin SVD of the synthesis matrix and the frame report are
+    computed on first use and cached on the system; iterate() makes both
+    arrays read-only so the caches stay valid.
+    """
 
     triple: OperatorTriple
     horizon: DegreePair
@@ -133,6 +152,56 @@ class IterateSystem:
     def vector(self, i: int, j: int) -> np.ndarray:
         self.col_index(i, j)
         return self.vectors[i, j]
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, singular values, Vh): the thin SVD of the synthesis matrix,
+        taken once per system."""
+        return tuple(np.linalg.svd(self.synthesis, full_matrices=False))
+
+    def rank(self, rtol: float = KERNEL_RTOL) -> int:
+        """Numerical rank of the synthesis matrix: the singular values
+        above rtol times the largest (0 for a zero matrix)."""
+        s = self.svd[1]
+        smax = s[0] if s.size else 0.0
+        return int(np.sum(s > rtol * smax)) if smax > 0.0 else 0
+
+    @cached_property
+    def _frame_report(self) -> "FrameReport":
+        """The report frame_bounds returns, built on first read."""
+        dim = self.triple.dim
+        trace = []
+        for h in range(min(self.horizon) + 1):
+            # iterates (i, j) with i, j <= h, as rows in row-major order
+            block = self.vectors[: h + 1, : h + 1].reshape(-1, dim)
+            lo, hi = hermitian_extremes(block.T @ block.conj())
+            trace.append((h, max(lo, 0.0), max(hi, 0.0)))
+
+        u = self.synthesis
+        lower, upper = hermitian_extremes(u @ u.conj().T)
+        lower, upper = max(lower, 0.0), max(upper, 0.0)
+        kernel_dim = self.ncols - self.rank()
+
+        if upper <= 0.0 or lower <= CLASS_RTOL * upper:
+            classification = "not_frame"
+            if upper <= 0.0:
+                lower = upper = 0.0
+        elif kernel_dim == 0:
+            classification = "minimal_frame"
+        # the frame operator is Hermitian: ||S - I|| is the largest
+        # distance of an eigenvalue from 1
+        elif max(abs(lower - 1.0), abs(upper - 1.0)) <= CLASS_RTOL:
+            classification = "parseval"
+        else:
+            classification = "frame"
+
+        return FrameReport(
+            lower=lower,
+            upper=upper,
+            classification=classification,
+            kernel_dim=kernel_dim,
+            bound_trace=tuple(trace),
+        )
 
 
 @dataclass(frozen=True)
@@ -190,10 +259,10 @@ class KernelCommuteReport:
 def iterate(triple: OperatorTriple, horizon) -> IterateSystem:
     """Build every iterate T1^i T2^j phi for (i, j) in the horizon box.
 
-    Filled by the recurrence v[i+1, 0] = T1 v[i, 0], v[i, j+1] = T2 v[i, j],
-    so each vector costs one matrix application.  Refuses to run past desk
-    scale: operator dimension >= BDF_MAX_DIM (default 2000) or horizon
-    boxes with 1e5 or more columns.
+    Each vector costs one matrix application (see iterate_grid).  Both
+    arrays of the result are read-only.  Refuses to run past desk scale:
+    operator dimension >= BDF_MAX_DIM (default 2000) or horizon boxes with
+    1e5 or more columns.
     """
     horizon = _as_degree(horizon)
     l1, l2 = horizon
@@ -206,44 +275,29 @@ def iterate(triple: OperatorTriple, horizon) -> IterateSystem:
         )
     if ncols >= COLS_LIMIT:
         raise GuardError(f"horizon box has {ncols} columns (guard {COLS_LIMIT})")
-    vectors = np.zeros((l1 + 1, l2 + 1, triple.dim), dtype=np.complex128)
-    vectors[0, 0] = triple.phi
-    for i in range(l1):
-        vectors[i + 1, 0] = triple.T1 @ vectors[i, 0]
-    for i in range(l1 + 1):
-        for j in range(l2):
-            vectors[i, j + 1] = triple.T2 @ vectors[i, j]
+    vectors = iterate_grid(triple.T1, triple.T2, triple.phi, l1, l2)
     synthesis = vectors.reshape(ncols, triple.dim).T.copy()
+    vectors.flags.writeable = False
+    synthesis.flags.writeable = False
     return IterateSystem(
         triple=triple, horizon=horizon, vectors=vectors, synthesis=synthesis
     )
-
-
-def synthesis_kernel(sys: IterateSystem, rtol: float = KERNEL_RTOL) -> np.ndarray:
-    """Orthonormal basis of the kernel of the synthesis matrix.
-
-    Singular values below rtol times the largest are treated as zero.
-    """
-    u = sys.synthesis
-    s = np.linalg.svd(u, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(sys.ncols, dtype=np.complex128)
-    rank = int(np.sum(s > rtol * smax))
-    _, _, vh = np.linalg.svd(u)
-    return vh[rank:].conj().T
 
 
 def synthesis_rowspace(sys: IterateSystem, rtol: float = KERNEL_RTOL) -> np.ndarray:
     """Orthonormal basis of the row space of the synthesis matrix, the
     orthogonal complement of its kernel (ncols x rank).
 
-    Same rank decision as synthesis_kernel, from a thin SVD.
+    Singular values at or below rtol times the largest count as zero;
+    read off the system's cached thin SVD.
     """
-    _, s, vh = np.linalg.svd(sys.synthesis, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rtol * smax)) if smax > 0.0 else 0
-    return vh[:rank].conj().T
+    return sys.svd[2][: sys.rank(rtol)].conj().T
+
+
+def synthesis_kernel(sys: IterateSystem, rtol: float = KERNEL_RTOL) -> np.ndarray:
+    """Orthonormal basis of the kernel of the synthesis matrix, the
+    orthogonal complement of synthesis_rowspace (same rank decision)."""
+    return null_space_onb(synthesis_rowspace(sys, rtol).conj().T)
 
 
 def frame_bounds(sys: IterateSystem) -> FrameReport:
@@ -255,47 +309,11 @@ def frame_bounds(sys: IterateSystem) -> FrameReport:
     else parseval when the frame operator is the identity to rtol, else
     frame.  Bound-trace entries are nondecreasing in the horizon because
     partial frame operators grow in the positive-semidefinite order.
+
+    The report is built once per system and cached on it: repeated calls
+    return the same object.
     """
-    u = sys.synthesis
-    dim = sys.triple.dim
-    l1, l2 = sys.horizon
-
-    trace = []
-    for h in range(min(l1, l2) + 1):
-        cols = [sys.col_index(i, j) for i in range(h + 1) for j in range(h + 1)]
-        uh = u[:, cols]
-        lo, hi = hermitian_extremes(uh @ uh.conj().T)
-        trace.append((h, max(lo, 0.0), max(hi, 0.0)))
-
-    s_full = u @ u.conj().T
-    lower, upper = hermitian_extremes(s_full)
-    lower, upper = max(lower, 0.0), max(upper, 0.0)
-
-    svals = np.linalg.svd(u, compute_uv=False)
-    smax = svals[0] if svals.size else 0.0
-    if smax == 0.0:
-        kernel_dim = sys.ncols
-    else:
-        kernel_dim = sys.ncols - int(np.sum(svals > KERNEL_RTOL * smax))
-
-    if upper <= 0.0 or lower <= CLASS_RTOL * upper:
-        classification = "not_frame"
-        if upper <= 0.0:
-            lower = upper = 0.0
-    elif kernel_dim == 0:
-        classification = "minimal_frame"
-    elif opnorm(s_full - np.eye(dim)) <= CLASS_RTOL:
-        classification = "parseval"
-    else:
-        classification = "frame"
-
-    return FrameReport(
-        lower=lower,
-        upper=upper,
-        classification=classification,
-        kernel_dim=kernel_dim,
-        bound_trace=tuple(trace),
-    )
+    return sys._frame_report
 
 
 def kernel_shift_invariance(sys: IterateSystem) -> KernelInvarianceReport:

@@ -29,9 +29,6 @@ __all__ = [
 
 DEFAULT_GRID = 64
 
-_KINDS = ("monomial", "blaschke_z", "blaschke_w", "product")
-
-
 @dataclass(frozen=True)
 class InnerSpec:
     """Symbolic description of an inner function.

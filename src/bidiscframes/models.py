@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import opnorm, restrict_to_support
+from ._linalg import null_space_onb, opnorm
 from .frames import (
-    FrameReport,
     GuardError,
     IterateSystem,
     OperatorTriple,
+    PreconditionError,
     frame_bounds,
+    synthesis_rowspace,
 )
 from .hardy import shift_rows
 from .submodule import QuotientModel
@@ -76,7 +77,6 @@ class SimilarityWitness:
 class ModelRecovery:
     """Quotient-shaped model read off a frame's synthesis matrix."""
 
-    kernel_onb: np.ndarray  # relations among iterates, in horizon coordinates
     k_onb: np.ndarray       # complement of the kernel (the recovered quotient)
     k_dim: int
     W: np.ndarray           # synthesis restricted to the complement; invertible
@@ -86,6 +86,13 @@ class ModelRecovery:
     intertwine_residual_w: float
     residual_phi: float
     cond_W: float
+
+    @property
+    def kernel_onb(self) -> np.ndarray:
+        """Orthonormal basis of the relations among the iterates (the
+        synthesis kernel, in horizon coordinates), built on each read as
+        the complement of k_onb."""
+        return null_space_onb(self.k_onb.conj().T)
 
 
 @dataclass(frozen=True)
@@ -152,12 +159,16 @@ def estimate_similarity(source: IterateSystem, target: IterateSystem) -> np.ndar
 
     Any similarity carrying one system onto the other must map iterate to
     iterate, so it solves L U_source = U_target; for a frame system the
-    least-squares solution is the unique one.
+    least-squares solution is the unique one.  It is U_target times the
+    pseudoinverse of U_source, formed from the source's cached SVD with
+    the cutoff of numpy.linalg.pinv (singular values above 1e-15 times
+    the largest).
     """
     if source.horizon != target.horizon:
         raise ValueError("systems must share a horizon")
-    us, ut = source.synthesis, target.synthesis
-    return ut @ np.linalg.pinv(us)
+    u, s, vh = source.svd
+    keep = s > 1e-15 * s.max(initial=0.0)
+    return (target.synthesis @ vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
 
 
 def random_similarity(dim: int, rng: np.random.Generator,
@@ -181,27 +192,25 @@ def recover_model(sys: IterateSystem, rtol: float = 1e-10) -> ModelRecovery:
     """Reconstruct the quotient-shaped model behind a frame system.
 
     Requires a frame (classification other than not_frame) and a horizon
-    box at least as large as the operator dimension.  The intertwining
+    box at least as large as the operator dimension; otherwise raises
+    PreconditionError.  The recovered quotient is the row space of the
+    synthesis matrix, read off the system's cached SVD.  The intertwining
     residuals are evaluated on complement vectors supported away from the
     horizon edge, where the box shifts are exact.
     """
     report = frame_bounds(sys)
     if not report.is_frame:
-        raise ValueError("recovery needs a frame system")
+        raise PreconditionError("recovery needs a frame system")
     if sys.ncols < sys.triple.dim:
-        raise ValueError("horizon box smaller than the operator dimension")
+        raise PreconditionError("horizon box smaller than the operator dimension")
 
-    u = sys.synthesis
-    _, svals, vh = np.linalg.svd(u)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > rtol * smax)) if smax > 0 else 0
-    kernel_onb = vh[rank:].conj().T
-    k_onb = vh[:rank].conj().T
-
+    k_onb = synthesis_rowspace(sys, rtol)
+    rank = k_onb.shape[1]
     if rank != sys.triple.dim:
-        raise ValueError("recovery failed: enlarge horizon")
+        raise PreconditionError("recovery failed: enlarge horizon")
 
-    w = u @ k_onb
+    svals = sys.svd[1]
+    w = sys.synthesis @ k_onb
     cond_w = float(svals[0] / svals[rank - 1]) if rank else np.inf
 
     box = sys.box_space
@@ -212,10 +221,10 @@ def recover_model(sys: IterateSystem, rtol: float = 1e-10) -> ModelRecovery:
     l1, l2 = sys.horizon
 
     def _residual(t, jordan, keep):
-        basis = restrict_to_support(k_onb, keep)
-        if basis.shape[1] == 0:
+        # coordinates, in k_onb, of its span's vectors that vanish off keep
+        coords = null_space_onb(k_onb[~keep])
+        if coords.shape[1] == 0:
             return 0.0
-        coords = k_onb.conj().T @ basis
         return opnorm(t @ w @ coords - w @ jordan @ coords)
 
     res_z = _residual(sys.triple.T1, jordan_z, ideg <= l1 - 1)
@@ -225,7 +234,6 @@ def recover_model(sys: IterateSystem, rtol: float = 1e-10) -> ModelRecovery:
     res_phi = float(np.linalg.norm(w @ seed_coords - sys.triple.phi))
 
     return ModelRecovery(
-        kernel_onb=kernel_onb,
         k_onb=k_onb,
         k_dim=rank,
         W=w,
@@ -249,7 +257,7 @@ def uniqueness_of_L(sys: IterateSystem, l1, l2,
     """
     report = frame_bounds(sys)
     if not report.is_frame:
-        raise ValueError("witness uniqueness requires a frame system")
+        raise PreconditionError("witness uniqueness requires a frame system")
     l1 = np.asarray(l1, dtype=np.complex128)
     l2 = np.asarray(l2, dtype=np.complex128)
     source = sys.triple

@@ -10,6 +10,9 @@ metadata file so reports can be compared directly.
 
 Exit-code contract: 0 all checks pass, 1 a mathematical check failed,
 2 config error (raised as ValueError), 3 numerical guard (GuardError).
+A check whose mathematical precondition is false (PreconditionError, for
+example "not a frame") fails like any other check, with the reason as
+its note.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .frames import (
     GuardError,
     IterateSystem,
     OperatorTriple,
+    PreconditionError,
     _dim_limit,
     frame_bounds,
     iterate,
@@ -79,7 +83,7 @@ def _parse_monomial(text: str) -> BidiscPoly:
     has_z = text.lstrip().startswith("z")
     a = int(m.group(1)) if m.group(1) else (1 if has_z else 0)
     b = int(m.group(2)) if m.group(2) else (1 if "w" in text else 0)
-    if a == 0 and b == 0 and text.strip() not in ("1", ""):
+    if a == 0 and b == 0:
         raise ValueError(f"cannot parse generator {text!r}")
     return BidiscPoly.monomial(a, b)
 
@@ -645,6 +649,8 @@ def _dump_json(obj, path: Path):
 
 def _csv_mirror(result: CheckResult, prefix: Path) -> list[str]:
     """Tabular companions for checks with natural row data."""
+    if not result.data:  # a failed precondition leaves no rows
+        return []
     rows = None
     if result.name in ("frame-bounds", "parseval", "riesz"):
         trace = result.data.get("bound_trace")
@@ -672,16 +678,23 @@ def _csv_mirror(result: CheckResult, prefix: Path) -> list[str]:
     return [str(path)]
 
 
+def _run_check(name: str, ctx: RunContext) -> CheckResult:
+    try:
+        return _REGISTRY[name](ctx)
+    except PreconditionError as exc:
+        return CheckResult(name, False, {}, note=str(exc))
+
+
 def run(cfg: ExperimentConfig) -> RunOutcome:
     """Execute the configured checks in dependency order.
 
     Config problems raise ValueError and guard trips raise GuardError;
-    mathematical failures are recorded in the results and the exit code,
-    never raised.
+    mathematical failures, failed preconditions included, are recorded in
+    the results and the exit code, never raised.
     """
     ctx = RunContext(cfg)
     ordered = sorted(dict.fromkeys(cfg.checks), key=_STAGE.__getitem__)
-    results = [_REGISTRY[name](ctx) for name in ordered]
+    results = [_run_check(name, ctx) for name in ordered]
     exit_code = 0 if all(r.passed for r in results) else 1
 
     files: list[str] = []

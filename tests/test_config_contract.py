@@ -1,4 +1,5 @@
-"""Malformed configs end as config errors, and the package runs as a module."""
+"""Malformed configs end as config errors, failed mathematical
+preconditions as check failures, and the package runs as a module."""
 
 import json
 import os
@@ -43,6 +44,45 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, patch, mes
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fixture,checks,note",
+    [
+        ("blaschke-half", ["frame-bounds", "similarity"],
+         "witness uniqueness requires a frame system"),
+        ("blaschke-half", ["recover"], "recovery needs a frame system"),
+        ("riesz-model", ["mandrekar"], "doubly-commute test needs a nonzero submodule"),
+        ("blaschke-product", ["parseval"], "operators do not commute"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:submodule is approximate", "ignore:compressed shifts commute")
+def test_failed_precondition_exits_1_with_every_report(tmp_path, capsys, fixture,
+                                                       checks, note):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"fixture": fixture, "checks": checks}))
+    prefix = tmp_path / "out"
+    assert main(["suite", "--config", str(path), "--out", str(prefix)]) == 1
+    assert capsys.readouterr().err == ""
+    for name in [*checks, "summary", "meta"]:
+        assert Path(f"{prefix}.{name}.json").is_file()
+    failed = json.loads(Path(f"{prefix}.{checks[-1]}.json").read_text())
+    assert failed["passed"] is False and note in failed["note"]
+
+
+@pytest.mark.parametrize(
+    "cfg,message",
+    [
+        ({"fixture": "generated-zw", "checks": ["codimension"]},
+         "codimension check requires an inner recipe"),
+        ({"order": [4, 4], "checks": ["mandrekar"]}, "needs a submodule recipe"),
+    ],
+)
+def test_config_errors_inside_checks_still_exit_2(tmp_path, capsys, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["suite", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_well_formed_values_still_parse():
