@@ -24,9 +24,9 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def _pivoted_qr(a, tol: float, mode: str):
-    """(q, rank) of a pivoted QR; pivots below tol times the leading pivot
-    count as numerically dependent."""
+def _pivoted_qr(a, mode: str):
+    """(q, rank) of a pivoted QR; pivots below DEFAULT_RANK_TOL times the
+    leading pivot count as numerically dependent."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
@@ -37,36 +37,36 @@ def _pivoted_qr(a, tol: float, mode: str):
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         return q, 0
-    return q, int(np.sum(diag > tol * diag[0]))
+    return q, int(np.sum(diag > DEFAULT_RANK_TOL * diag[0]))
 
 
-def orthonormal_columns(a, tol: float = DEFAULT_RANK_TOL):
+def orthonormal_columns(a):
     """Orthonormal basis of the column span, via pivoted QR.
 
-    Returns (q, rank).  Pivots below tol times the leading pivot are
-    treated as numerically dependent and dropped.
+    Returns (q, rank).  Pivots below DEFAULT_RANK_TOL times the leading
+    pivot are treated as numerically dependent and dropped.
     """
-    q, rank = _pivoted_qr(a, tol, "economic")
+    q, rank = _pivoted_qr(a, "economic")
     return np.ascontiguousarray(q[:, :rank]), rank
 
 
-def orthonormal_split(a, tol: float = DEFAULT_RANK_TOL):
+def orthonormal_split(a):
     """Orthonormal bases of the column span and of its orthogonal
     complement, from one full pivoted QR.
 
     Returns (q, complement, rank); the span basis is the one
     orthonormal_columns gives.
     """
-    q, rank = _pivoted_qr(a, tol, "full")
+    q, rank = _pivoted_qr(a, "full")
     return np.ascontiguousarray(q[:, :rank]), np.ascontiguousarray(q[:, rank:]), rank
 
 
-def null_space_onb(a, rcond: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def null_space_onb(a) -> np.ndarray:
     """Orthonormal basis of the kernel of a (possibly empty) matrix."""
     a = np.asarray(a, dtype=np.complex128)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=np.complex128)
-    return scipy.linalg.null_space(a, rcond=rcond)
+    return scipy.linalg.null_space(a, rcond=DEFAULT_RANK_TOL)
 
 
 def restrict_to_support(q, keep) -> np.ndarray:
@@ -90,7 +90,7 @@ def restrict_to_support(q, keep) -> np.ndarray:
     return q @ ns
 
 
-def masked_complement(k_onb, keep, tol: float = DEFAULT_RANK_TOL):
+def masked_complement(k_onb, keep):
     """The vectors orthogonal to span(k_onb) that vanish outside `keep`.
 
     That subspace is the null space of k_onb[keep]^H, read in the
@@ -98,11 +98,11 @@ def masked_complement(k_onb, keep, tol: float = DEFAULT_RANK_TOL):
     the range of k_onb[keep], so I - v v^H projects onto the subspace, and
     dim is its dimension.  k_onb must have orthonormal columns; its row
     blocks then have singular values at most 1, so the rank decision is
-    absolute (sigma > tol): a block of pure rounding noise has rank 0.
+    absolute (sigma > DEFAULT_RANK_TOL): pure rounding noise has rank 0.
     """
     block = np.asarray(k_onb, dtype=np.complex128)[np.asarray(keep, dtype=bool)]
     u, s, _ = np.linalg.svd(block, full_matrices=False)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > DEFAULT_RANK_TOL))
     return u[:, :rank], block.shape[0] - rank
 
 

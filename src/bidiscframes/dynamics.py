@@ -12,13 +12,12 @@ operators; the synthesis kernels then coincide.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import opnorm, subspace_distance
+from ._linalg import iterate_grid, opnorm, subspace_distance
 from .frames import (
     FrameReport,
     InvariantViolation,
@@ -61,27 +60,9 @@ class OrbitTrace:
     decayed: bool
     note: str = ""
 
-    def csv_rows(self):
-        yield ("i", "j", "norm")
-        l1, l2 = self.norms.shape
-        for i in range(l1):
-            for j in range(l2):
-                yield (i, j, repr(float(self.norms[i, j])))
-
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(self.csv_rows())
-
 
 def _orbit_norms(a1, a2, f, horizon):
-    l1, l2 = int(horizon[0]), int(horizon[1])
-    grid = np.zeros((l1 + 1, l2 + 1, f.shape[0]), dtype=np.complex128)
-    grid[0, 0] = f
-    for i in range(l1):
-        grid[i + 1, 0] = a1 @ grid[i, 0]
-    for i in range(l1 + 1):
-        for j in range(l2):
-            grid[i, j + 1] = a2 @ grid[i, j]
+    grid = iterate_grid(a1, a2, f, int(horizon[0]), int(horizon[1]))
     return np.linalg.norm(grid, axis=2)
 
 
@@ -145,12 +126,10 @@ def partial_energy(sys: IterateSystem, f, start=(0, 0)) -> float:
     componentwise."""
     f = np.asarray(f, dtype=np.complex128).reshape(-1)
     m1, m2 = int(start[0]), int(start[1])
-    l1, l2 = sys.horizon
-    total = 0.0
-    for i in range(m1, l1 + 1):
-        for j in range(m2, l2 + 1):
-            total += abs(np.vdot(f, sys.vector(i, j))) ** 2
-    return float(total)
+    if m1 < 0 or m2 < 0:
+        raise ValueError(f"start {(m1, m2)} must be nonnegative")
+    coeffs = sys.vectors[m1:, m2:] @ f.conj()
+    return float(np.sum(np.abs(coeffs) ** 2))
 
 
 def equivalent_frame_vector(triple: OperatorTriple, v, horizon) -> FrameReport:

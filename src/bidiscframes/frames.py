@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import ClassVar
 
 import numpy as np
 
@@ -159,12 +159,12 @@ class IterateSystem:
         taken once per system."""
         return tuple(np.linalg.svd(self.synthesis, full_matrices=False))
 
-    def rank(self, rtol: float = KERNEL_RTOL) -> int:
+    def rank(self) -> int:
         """Numerical rank of the synthesis matrix: the singular values
-        above rtol times the largest (0 for a zero matrix)."""
+        above KERNEL_RTOL times the largest (0 for a zero matrix)."""
         s = self.svd[1]
         smax = s[0] if s.size else 0.0
-        return int(np.sum(s > rtol * smax)) if smax > 0.0 else 0
+        return int(np.sum(s > KERNEL_RTOL * smax)) if smax > 0.0 else 0
 
     @cached_property
     def _frame_report(self) -> "FrameReport":
@@ -213,7 +213,7 @@ class FrameReport:
     classification: str  # not_frame | frame | parseval | minimal_frame
     kernel_dim: int
     bound_trace: tuple  # ((h, lower, upper), ...) over square sub-horizons
-    rtol: float = CLASS_RTOL
+    rtol: ClassVar[float] = CLASS_RTOL
 
     @property
     def is_frame(self) -> bool:
@@ -228,11 +228,6 @@ class FrameReport:
             "bound_trace": [[int(h), float(lo), float(hi)] for h, lo, hi in self.bound_trace],
             "rtol": float(self.rtol),
         }
-
-    def trace_csv_rows(self) -> Iterator[tuple]:
-        yield ("horizon", "lower", "upper")
-        for h, lo, hi in self.bound_trace:
-            yield (h, repr(float(lo)), repr(float(hi)))
 
 
 @dataclass(frozen=True)
@@ -284,20 +279,20 @@ def iterate(triple: OperatorTriple, horizon) -> IterateSystem:
     )
 
 
-def synthesis_rowspace(sys: IterateSystem, rtol: float = KERNEL_RTOL) -> np.ndarray:
+def synthesis_rowspace(sys: IterateSystem) -> np.ndarray:
     """Orthonormal basis of the row space of the synthesis matrix, the
     orthogonal complement of its kernel (ncols x rank).
 
-    Singular values at or below rtol times the largest count as zero;
-    read off the system's cached thin SVD.
+    Singular values at or below KERNEL_RTOL times the largest count as
+    zero; read off the system's cached thin SVD.
     """
-    return sys.svd[2][: sys.rank(rtol)].conj().T
+    return sys.svd[2][: sys.rank()].conj().T
 
 
-def synthesis_kernel(sys: IterateSystem, rtol: float = KERNEL_RTOL) -> np.ndarray:
+def synthesis_kernel(sys: IterateSystem) -> np.ndarray:
     """Orthonormal basis of the kernel of the synthesis matrix, the
     orthogonal complement of synthesis_rowspace (same rank decision)."""
-    return null_space_onb(synthesis_rowspace(sys, rtol).conj().T)
+    return null_space_onb(synthesis_rowspace(sys).conj().T)
 
 
 def frame_bounds(sys: IterateSystem) -> FrameReport:

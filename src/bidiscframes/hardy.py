@@ -17,6 +17,7 @@ interior behaves exactly like the untruncated shift.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -33,8 +34,6 @@ __all__ = [
     "shift_rows",
     "adjoint_shift",
     "mult_operator",
-    "seq_to_poly",
-    "poly_to_seq",
 ]
 
 _AXES = ("z", "w")
@@ -60,6 +59,26 @@ def _as_degree(value) -> DegreePair:
     if d.d1 < 0 or d.d2 < 0:
         raise ValueError(f"degrees must be nonnegative, got {tuple(d)}")
     return d
+
+
+def _integer(value, key: str) -> int:
+    """An integer; booleans, floats and strings are refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _degree_pair(value, key: str) -> DegreePair:
+    """Two non-negative integers, as a JSON list."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{key} must be a list of two non-negative integers, got {value!r}")
+    pair = DegreePair(*(_integer(v, key) for v in value))
+    if min(pair) < 0:
+        raise ValueError(f"{key} must be nonnegative, got {tuple(pair)}")
+    return pair
 
 
 class BidiscPoly:
@@ -333,13 +352,3 @@ def mult_operator(phi: BidiscPoly, space: TruncatedSpace) -> np.ndarray:
             if ii <= n1 and jj <= n2:
                 a[space.index(ii, jj), k] += c
     return a
-
-
-def seq_to_poly(coeffs: Mapping[tuple[int, int], complex]) -> BidiscPoly:
-    """Finitely supported coefficient map -> polynomial (norm preserving)."""
-    return BidiscPoly(coeffs)
-
-
-def poly_to_seq(f: BidiscPoly) -> dict[tuple[int, int], complex]:
-    """Polynomial -> coefficient map; inverse of seq_to_poly."""
-    return dict(f.coeffs)

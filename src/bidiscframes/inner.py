@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .hardy import BidiscPoly, DegreePair, _as_degree
+from .hardy import BidiscPoly, DegreePair, _as_degree, _degree_pair
 
 __all__ = [
     "InnerSpec",
@@ -95,16 +95,37 @@ class InnerSpec:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "InnerSpec":
-        kind = data["kind"]
+        """Inverse of to_json; a malformed spec raises ValueError naming
+        the offending key."""
+        kind = _key(data, "kind")
         if kind == "monomial":
-            a, b = data["degree"]
-            return cls.monomial(int(a), int(b))
+            return cls.monomial(*_degree_pair(_key(data, "degree"), "inner degree"))
         if kind in ("blaschke_z", "blaschke_w"):
-            zeros = [complex(re, im) for re, im in data["zeros"]]
-            return cls.blaschke_z(zeros) if kind == "blaschke_z" else cls.blaschke_w(zeros)
+            zeros = _key(data, "zeros")
+            if not isinstance(zeros, (list, tuple)) or not all(map(_is_real_pair, zeros)):
+                raise ValueError(f"inner zeros must be a list of [re, im] pairs, got {zeros!r}")
+            zs = [complex(re, im) for re, im in zeros]
+            return cls.blaschke_z(zs) if kind == "blaschke_z" else cls.blaschke_w(zs)
         if kind == "product":
-            return cls.product(cls.from_json(f) for f in data["factors"])
+            factors = _key(data, "factors")
+            if not isinstance(factors, (list, tuple)):
+                raise ValueError(f"inner factors must be a list of specs, got {factors!r}")
+            return cls.product(cls.from_json(f) for f in factors)
         raise ValueError(f"unknown inner kind {kind!r}")
+
+
+def _key(data, key: str):
+    if not isinstance(data, Mapping):
+        raise ValueError(f"inner spec must be an object, got {data!r}")
+    if key not in data:
+        raise ValueError(f"inner spec {dict(data)!r} lacks the key {key!r}")
+    return data[key]
+
+
+def _is_real_pair(z) -> bool:
+    return isinstance(z, (list, tuple)) and len(z) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in z
+    )
 
 
 @dataclass(frozen=True)

@@ -102,9 +102,14 @@ class UniquenessReport:
 
 
 def triple_from_quotient(quot: QuotientModel) -> OperatorTriple:
-    """Package the compressed shifts and the seed as an operator triple."""
+    """Package the compressed shifts and the seed as an operator triple.
+
+    A trivial quotient (the submodule fills the box) has no triple: that
+    is a false precondition of every check that iterates, raised as
+    PreconditionError.
+    """
     if quot.trivial:
-        raise ValueError("trivial quotient has no operator triple")
+        raise PreconditionError("trivial quotient has no operator triple")
     return OperatorTriple(T1=quot.jordan_z, T2=quot.jordan_w, phi=quot.seed)
 
 
@@ -188,7 +193,7 @@ def random_similarity(dim: int, rng: np.random.Generator,
     return l
 
 
-def recover_model(sys: IterateSystem, rtol: float = 1e-10) -> ModelRecovery:
+def recover_model(sys: IterateSystem) -> ModelRecovery:
     """Reconstruct the quotient-shaped model behind a frame system.
 
     Requires a frame (classification other than not_frame) and a horizon
@@ -204,7 +209,7 @@ def recover_model(sys: IterateSystem, rtol: float = 1e-10) -> ModelRecovery:
     if sys.ncols < sys.triple.dim:
         raise PreconditionError("horizon box smaller than the operator dimension")
 
-    k_onb = synthesis_rowspace(sys, rtol)
+    k_onb = synthesis_rowspace(sys)
     rank = k_onb.shape[1]
     if rank != sys.triple.dim:
         raise PreconditionError("recovery failed: enlarge horizon")
@@ -246,8 +251,7 @@ def recover_model(sys: IterateSystem, rtol: float = 1e-10) -> ModelRecovery:
     )
 
 
-def uniqueness_of_L(sys: IterateSystem, l1, l2,
-                    rtol: float = WITNESS_TOL) -> UniquenessReport:
+def uniqueness_of_L(sys: IterateSystem, l1, l2) -> UniquenessReport:
     """Distance between two certified witnesses for the same similarity.
 
     The common target triple is derived from the first witness; the
@@ -276,10 +280,10 @@ def uniqueness_of_L(sys: IterateSystem, l1, l2,
         svals = np.linalg.svd(l, compute_uv=False)
         if svals[0] == 0.0 or svals[-1] <= 1e-14 * svals[0]:
             raise ValueError(f"{name} witness is numerically singular")
-        bad = [r for r in _resids(l) if r > rtol]
+        bad = [r for r in _resids(l) if r > WITNESS_TOL]
         if bad:
             raise ValueError(
-                f"{name} witness not certified: residual {max(bad):.3e} > {rtol:.1e}"
+                f"{name} witness not certified: residual {max(bad):.3e} > {WITNESS_TOL:.1e}"
             )
 
     return UniquenessReport(distance=opnorm(l1 - l2), certified=True)

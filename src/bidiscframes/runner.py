@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import re
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,15 @@ from .frames import (
     kernel_shift_invariance,
     synthesis_rowspace,
 )
-from .hardy import BidiscPoly, DegreePair, TruncatedSpace, make_space, shift_matrix
+from .hardy import (
+    BidiscPoly,
+    DegreePair,
+    TruncatedSpace,
+    _degree_pair,
+    _integer,
+    make_space,
+    shift_matrix,
+)
 from .inner import InnerSpec, build_inner
 from .models import (
     estimate_similarity,
@@ -92,7 +100,7 @@ def _parse_generator(item) -> BidiscPoly:
     if isinstance(item, str):
         return _parse_monomial(item)
     if isinstance(item, (list, tuple)) and len(item) == 2:
-        return BidiscPoly.monomial(int(item[0]), int(item[1]))
+        return BidiscPoly.monomial(*_degree_pair(item, "generator"))
     raise ValueError(f"generator entries must be strings or [i, j] pairs, got {item!r}")
 
 
@@ -107,26 +115,6 @@ def _parse_inner(value) -> InnerSpec:
     if isinstance(value, dict):
         return InnerSpec.from_json(value)
     raise ValueError("inner must be a catalog name or a serialized spec")
-
-
-def _integer(value, key: str) -> int:
-    """An integer; booleans, floats and strings are refused."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{key} must be an integer, got {value!r}")
-
-
-def _degree_pair(value, key: str) -> DegreePair:
-    """Two non-negative integers, as a JSON list."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"{key} must be a list of two non-negative integers, got {value!r}")
-    pair = DegreePair(*(_integer(v, key) for v in value))
-    if min(pair) < 0:
-        raise ValueError(f"{key} must be nonnegative, got {tuple(pair)}")
-    return pair
 
 
 _KNOWN_KEYS = {
@@ -164,7 +152,24 @@ class ExperimentConfig:
                 merged[key] = val
 
         fixture_name = merged.get("fixture")
+        if fixture_name is not None and not isinstance(fixture_name, str):
+            raise ValueError(f"fixture must be a catalog name, got {fixture_name!r}")
         fixture = get_fixture(fixture_name) if fixture_name is not None else None
+
+        checks = merged.get("checks", ())
+        if not isinstance(checks, (list, tuple)) or not all(
+            isinstance(c, str) for c in checks
+        ):
+            raise ValueError(f"checks must be a list of check names, got {checks!r}")
+        unknown_checks = [c for c in checks if c not in _REGISTRY]
+        if unknown_checks:
+            raise ValueError(f"unknown check name: {', '.join(unknown_checks)}")
+
+        generators = merged.get("generators") or ()
+        if not isinstance(generators, (list, tuple)):
+            raise ValueError(f"generators must be a list, got {generators!r}")
+        gens = tuple(_parse_generator(g) for g in generators)
+        inner = _parse_inner(merged["inner"]) if merged.get("inner") else None
 
         recipes = [k for k in ("inner", "generators", "fixture") if merged.get(k)]
         if len(recipes) > 1:
@@ -188,23 +193,21 @@ class ExperimentConfig:
         else:
             horizon = order
 
-        checks = tuple(merged.get("checks", ()))
-        unknown_checks = [c for c in checks if c not in _REGISTRY]
-        if unknown_checks:
-            raise ValueError(f"unknown check name: {', '.join(unknown_checks)}")
-
-        inner = _parse_inner(merged["inner"]) if merged.get("inner") else None
         if fixture is not None:
             inner = fixture.spec
-        gens: tuple[BidiscPoly, ...] = ()
-        if merged.get("generators"):
-            gens = tuple(_parse_generator(g) for g in merged["generators"])
-        if fixture is not None and fixture.kind == "generated":
-            gens = fixture.generators
+            if fixture.kind == "generated":
+                gens = fixture.generators
 
         transport_cfg = merged.get("transport") or {}
         if not isinstance(transport_cfg, dict):
             raise ValueError("transport must be an object with seed/condition_cap")
+        cap = transport_cfg.get("condition_cap", 1e3)
+        # a condition number is at least 1, so a smaller cap refuses every map
+        if isinstance(cap, bool) or not isinstance(cap, (int, float)) or not cap >= 1:
+            raise ValueError(f"condition_cap must be a number >= 1, got {cap!r}")
+        output = merged.get("output")
+        if output is not None and not isinstance(output, str):
+            raise ValueError(f"output must be a path prefix string, got {output!r}")
         fmt = merged.get("format", "json")
         if fmt not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {fmt!r}")
@@ -212,7 +215,7 @@ class ExperimentConfig:
         return cls(
             order=order,
             horizon=horizon,
-            checks=checks,
+            checks=tuple(checks),
             inner=inner,
             generators=gens,
             fixture=fixture_name,
@@ -221,8 +224,8 @@ class ExperimentConfig:
                 _integer(transport_cfg["seed"], "transport seed")
                 if "seed" in transport_cfg else None
             ),
-            condition_cap=float(transport_cfg.get("condition_cap", 1e3)),
-            output=merged.get("output"),
+            condition_cap=float(cap),
+            output=output,
             fmt=fmt,
         )
 
@@ -312,64 +315,48 @@ def _native(obj):
 
 
 class RunContext:
-    """Lazy construction chain shared by the checks of one run."""
+    """Lazy construction chain shared by the checks of one run; a stage
+    that raises is not cached."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self._space: TruncatedSpace | None = None
-        self._submodule = None
-        self._quotient = None
-        self._triple: OperatorTriple | None = None
-        self._system: IterateSystem | None = None
 
-    @property
+    @cached_property
     def space(self) -> TruncatedSpace:
-        if self._space is None:
-            space = make_space(self.cfg.order)
-            limit = _dim_limit()
-            if space.dim >= limit:
-                raise GuardError(
-                    f"space dimension {space.dim} at or beyond the desk "
-                    f"guard {limit}; set BDF_MAX_DIM to go bigger"
-                )
-            self._space = space
-        return self._space
+        space = make_space(self.cfg.order)
+        limit = _dim_limit()
+        if space.dim >= limit:
+            raise GuardError(
+                f"space dimension {space.dim} at or beyond the desk "
+                f"guard {limit}; set BDF_MAX_DIM to go bigger"
+            )
+        return space
 
-    @property
+    @cached_property
     def submodule(self):
-        if self._submodule is None:
-            cfg = self.cfg
-            if cfg.fixture is not None:
-                self._submodule = get_fixture(cfg.fixture).make_submodule(self.space)
-            elif cfg.inner is not None:
-                phi = build_inner(cfg.inner, self.space.order)
-                self._submodule = beurling_submodule(phi, self.space)
-            elif cfg.generators:
-                self._submodule = generated_submodule(cfg.generators, self.space)
-            else:
-                raise ValueError(
-                    "this check needs a submodule recipe: give inner, "
-                    "generators, or fixture"
-                )
-        return self._submodule
+        cfg = self.cfg
+        if cfg.fixture is not None:
+            return get_fixture(cfg.fixture).make_submodule(self.space)
+        if cfg.inner is not None:
+            return beurling_submodule(build_inner(cfg.inner, self.space.order), self.space)
+        if cfg.generators:
+            return generated_submodule(cfg.generators, self.space)
+        raise ValueError(
+            "this check needs a submodule recipe: give inner, "
+            "generators, or fixture"
+        )
 
-    @property
+    @cached_property
     def quotient(self):
-        if self._quotient is None:
-            self._quotient = quotient(self.submodule)
-        return self._quotient
+        return quotient(self.submodule)
 
-    @property
+    @cached_property
     def triple(self) -> OperatorTriple:
-        if self._triple is None:
-            self._triple = triple_from_quotient(self.quotient)
-        return self._triple
+        return triple_from_quotient(self.quotient)
 
-    @property
+    @cached_property
     def system(self) -> IterateSystem:
-        if self._system is None:
-            self._system = iterate(self.triple, self.cfg.horizon)
-        return self._system
+        return iterate(self.triple, self.cfg.horizon)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.cfg.seed)
@@ -571,18 +558,22 @@ def _decay_horizon(cfg: ExperimentConfig) -> DegreePair:
     return DegreePair(cfg.order.d1 + 1, cfg.order.d2 + 1)
 
 
-def _check_decay(ctx: RunContext) -> CheckResult:
-    rng = ctx.rng()
-    f = ctx.random_vector(rng)
-    trace = adjoint_decay(ctx.triple, f, _decay_horizon(ctx.cfg))
-    data = {
+def _trace_data(trace) -> dict:
+    """Report data of an orbit trace (decay and probe-conjecture)."""
+    return {
         "direction": trace.direction,
         "tail_max": trace.tail_max,
         "corner": trace.corner,
         "decayed": trace.decayed,
         "norms": trace.norms,
     }
-    return CheckResult("decay", trace.decayed, data, note=trace.note)
+
+
+def _check_decay(ctx: RunContext) -> CheckResult:
+    rng = ctx.rng()
+    f = ctx.random_vector(rng)
+    trace = adjoint_decay(ctx.triple, f, _decay_horizon(ctx.cfg))
+    return CheckResult("decay", trace.decayed, _trace_data(trace), note=trace.note)
 
 
 def _check_probe(ctx: RunContext) -> CheckResult:
@@ -595,15 +586,7 @@ def _check_probe(ctx: RunContext) -> CheckResult:
             warnings.simplefilter("ignore")
         trace = conjecture_probe(ctx.triple, f, _decay_horizon(ctx.cfg),
                                  kernel_verdict=verdict)
-    data = {
-        "direction": trace.direction,
-        "tail_max": trace.tail_max,
-        "corner": trace.corner,
-        "decayed": trace.decayed,
-        "norms": trace.norms,
-        "kernel_verdict": verdict,
-        "evidence_only": True,
-    }
+    data = {**_trace_data(trace), "kernel_verdict": verdict, "evidence_only": True}
     return CheckResult("probe-conjecture", True, data, note=trace.note)
 
 

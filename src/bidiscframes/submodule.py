@@ -3,8 +3,12 @@
 A submodule here is a subspace invariant under both coordinate shifts,
 represented by an orthonormal basis of columns.  Construction is
 degree-safe: spanning products that would leave the degree box are
-excluded rather than clipped, so the span is genuinely shift-invariant
-inside the box whenever the generators are exact polynomials.
+excluded rather than clipped.  The span is then genuinely shift-invariant
+inside the box for a polynomial inner function and for monomial
+generators.  A generator g of bidegree (p, q) with more than one term
+loses invariance at the box edge: the truncated z-shift of z^(N1-p) w^j g
+keeps the terms of g below z-degree p, but z^(N1-p+1) w^j g is excluded,
+so the span need not contain it (SubmoduleModel.exact says so).
 
 Every submodule also carries an orthonormal basis of its orthogonal
 complement, taken from the same full pivoted QR that gives its own
@@ -21,13 +25,12 @@ from __future__ import annotations
 
 import base64
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._linalg import (
-    DEFAULT_RANK_TOL,
     compressed_commutator_residual,
     iterate_grid,
     opnorm,
@@ -75,12 +78,13 @@ class SubmoduleModel:
     def exact(self) -> bool:
         """True when the span is exactly shift-invariant inside the box.
 
-        Beurling models over truncated (non-polynomial) inner functions
-        are approximate near the box edge.
+        Beurling models over truncated (non-polynomial) inner functions,
+        and generated models with a generator of more than one term, are
+        approximate near the box edge.
         """
         if self.kind == "beurling":
             return self.inner is not None and self.inner.trunc_error == 0.0
-        return True
+        return all(len(g.coeffs) == 1 for g in self.generators)
 
 
 @dataclass(frozen=True)
@@ -133,8 +137,7 @@ def _monomial_multiples(g: BidiscPoly, space: TruncatedSpace):
     return cols
 
 
-def beurling_submodule(phi: InnerPoly, space: TruncatedSpace,
-                       tol: float = DEFAULT_RANK_TOL) -> SubmoduleModel:
+def beurling_submodule(phi: InnerPoly, space: TruncatedSpace) -> SubmoduleModel:
     """Submodule spanned by phi times every monomial that fits in the box.
 
     For an inner phi, multiplication is isometric, so the spanning family
@@ -153,7 +156,7 @@ def beurling_submodule(phi: InnerPoly, space: TruncatedSpace,
             stacklevel=2,
         )
     cols = _monomial_multiples(phi.poly, space)
-    onb, complement, rank = orthonormal_split(np.column_stack(cols), tol=tol)
+    onb, complement, rank = orthonormal_split(np.column_stack(cols))
     p, q = phi.poly.maxdeg
     expected = (space.order.d1 - p + 1) * (space.order.d2 - q + 1)
     if rank != expected:
@@ -165,8 +168,8 @@ def beurling_submodule(phi: InnerPoly, space: TruncatedSpace,
                           complement=complement, rank=rank, inner=phi)
 
 
-def generated_submodule(generators: Iterable[BidiscPoly], space: TruncatedSpace,
-                        tol: float = DEFAULT_RANK_TOL) -> SubmoduleModel:
+def generated_submodule(generators: Iterable[BidiscPoly],
+                        space: TruncatedSpace) -> SubmoduleModel:
     """Smallest degree-safe shift-invariant span containing the generators."""
     gens = tuple(g for g in generators if g.coeffs)
     cols = []
@@ -178,7 +181,7 @@ def generated_submodule(generators: Iterable[BidiscPoly], space: TruncatedSpace,
         cols.extend(_monomial_multiples(g, space))
     if not cols:
         return zero_submodule(space)
-    onb, complement, rank = orthonormal_split(np.column_stack(cols), tol=tol)
+    onb, complement, rank = orthonormal_split(np.column_stack(cols))
     return SubmoduleModel(
         space=space, kind="generated", onb=onb, complement=complement,
         rank=rank, generators=gens,

@@ -3,6 +3,7 @@ preconditions as check failures, and the package runs as a module."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,12 +34,20 @@ BASE = {"fixture": "inner-zw", "checks": ["build-module"]}
         ({"seed": "7"}, "seed must be an integer"),
         ({"seed": False}, "seed must be an integer"),
         ({"transport": {"seed": 2.5}}, "transport seed must be an integer"),
+        ({"checks": 5}, "checks must be a list of check names"),
+        ({"generators": 5}, "generators must be a list"),
+        ({"inner": {"kind": "monomial"}}, "lacks the key 'degree'"),
+        ({"inner": {"kind": "blaschke_z", "zeros": [0.5]}},
+         "inner zeros must be a list of [re, im] pairs"),
+        ({"output": 5}, "output must be a path prefix string"),
+        ({"transport": {"condition_cap": [1]}}, "condition_cap must be a number >= 1"),
+        ({"transport": {"condition_cap": -1}}, "condition_cap must be a number >= 1"),
     ],
 )
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, patch, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**BASE, **patch}))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig.from_file(path)
     assert main(["suite", "--config", str(path)]) == 2
     err = capsys.readouterr().err
@@ -47,20 +56,26 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, patch, mes
 
 
 @pytest.mark.parametrize(
-    "fixture,checks,note",
+    "recipe,checks,note",
     [
-        ("blaschke-half", ["frame-bounds", "similarity"],
+        ({"fixture": "blaschke-half"}, ["frame-bounds", "similarity"],
          "witness uniqueness requires a frame system"),
-        ("blaschke-half", ["recover"], "recovery needs a frame system"),
-        ("riesz-model", ["mandrekar"], "doubly-commute test needs a nonzero submodule"),
-        ("blaschke-product", ["parseval"], "operators do not commute"),
+        ({"fixture": "blaschke-half"}, ["recover"], "recovery needs a frame system"),
+        ({"fixture": "riesz-model"}, ["mandrekar"],
+         "doubly-commute test needs a nonzero submodule"),
+        ({"fixture": "blaschke-product"}, ["parseval"], "operators do not commute"),
+        ({"order": [3, 3], "inner": {"kind": "monomial", "degree": [0, 0]}},
+         ["build-module", "frame-bounds"], "trivial quotient has no operator triple"),
     ],
+    # a fixture recipe is named after its fixture
+    ids=lambda v: v.get("fixture", "constant-inner") if isinstance(v, dict) else None,
 )
-@pytest.mark.filterwarnings("ignore:submodule is approximate", "ignore:compressed shifts commute")
-def test_failed_precondition_exits_1_with_every_report(tmp_path, capsys, fixture,
+@pytest.mark.filterwarnings("ignore:submodule is approximate", "ignore:compressed shifts commute",
+                            "ignore:trivial quotient")
+def test_failed_precondition_exits_1_with_every_report(tmp_path, capsys, recipe,
                                                        checks, note):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"fixture": fixture, "checks": checks}))
+    path.write_text(json.dumps({**recipe, "checks": checks}))
     prefix = tmp_path / "out"
     assert main(["suite", "--config", str(path), "--out", str(prefix)]) == 1
     assert capsys.readouterr().err == ""

@@ -67,16 +67,6 @@ def test_adjoint_decay_checks_vector_length():
         adjoint_decay(triple, np.zeros(3), (2, 2))
 
 
-def test_orbit_trace_csv(tmp_path):
-    triple = zw_triple((4, 4))
-    trace = adjoint_decay(triple, random_state(triple.dim, RNG), (2, 2))
-    path = tmp_path / "orbit.csv"
-    trace.save_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,norm"
-    assert len(lines) == 10
-
-
 def test_probe_warns_without_kernel_verdict():
     triple = zw_triple((4, 4))
     f = random_state(triple.dim, RNG)

@@ -342,15 +342,33 @@ def random_generated_module(rng):
     return generated_submodule(gens, make_space(order))
 
 
+def invariance_defect(sub):
+    """max over the two shifts of ||K^H S Q||: 0 exactly when the span of
+    Q is invariant under the truncated shifts."""
+    k = sub.complement.conj().T
+    return max(
+        np.linalg.norm(k @ shift_rows(sub.onb, sub.space.order, ax), 2) for ax in "zw"
+    )
+
+
+@pytest.mark.filterwarnings("ignore:compressed shifts commute")
 def test_random_generated_modules_match_dense_reference():
     rng = np.random.default_rng(20260101)
     verdicts = set()
+    inexact = 0
     for _ in range(50):
         sub = random_generated_module(rng)
         assert_doubly_commute_matches(sub)
         assert_quotient_matches(sub)
         verdicts.add(doubly_commute_test(sub).verdict)
+        if invariance_defect(sub) > 1e-10:
+            # a span that is not invariant must not claim to be exact, and
+            # its quotient warns instead of raising
+            assert not sub.exact
+            quotient(sub)
+            inexact += 1
     assert verdicts == {True, False}
+    assert inexact == 18
 
 
 def random_system(rng, dim, horizon):
@@ -471,15 +489,11 @@ def test_frame_report_is_cached_on_a_read_only_system():
         sys.vectors[0, 0, 0] = 1.0
 
 
+@pytest.mark.filterwarnings("ignore:compressed shifts commute")
 def test_random_generated_modules_jordan_sweep_matches_reference():
-    """Complex coefficients, so the direct route's conjugation matters."""
+    """Complex coefficients, so the direct route's conjugation matters.
+    Spans that are not invariant at the box edge are swept too: their
+    quotients warn instead of raising."""
     rng = np.random.default_rng(20260101)
-    swept = 0
     for _ in range(30):
-        try:  # some degree-safe spans are not invariant at the box edge
-            quot = quotient(random_generated_module(rng))
-        except RuntimeError:
-            continue
-        assert_jordan_matches(quot)
-        swept += 1
-    assert swept >= 10
+        assert_jordan_matches(quotient(random_generated_module(rng)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bidiscframes.frames import (
+    CLASS_RTOL,
     GuardError,
     OperatorTriple,
     frame_bounds,
@@ -200,6 +201,5 @@ def test_report_serialization():
     d = rep.to_dict()
     assert d["classification"] == "parseval"
     assert isinstance(d["bound_trace"], list)
-    rows = list(rep.trace_csv_rows())
-    assert rows[0] == ("horizon", "lower", "upper")
-    assert len(rows) == len(rep.bound_trace) + 1
+    assert len(d["bound_trace"]) == len(rep.bound_trace) == 5
+    assert d["rtol"] == rep.rtol == CLASS_RTOL

@@ -10,8 +10,6 @@ from bidiscframes.hardy import (
     inner_product,
     make_space,
     mult_operator,
-    poly_to_seq,
-    seq_to_poly,
     shift_matrix,
     shift_w,
     shift_z,
@@ -26,7 +24,7 @@ def random_poly(rng, maxdeg=(3, 3)):
         for j in range(maxdeg[1] + 1):
             if rng.random() < 0.6:
                 coeffs[(i, j)] = complex(rng.standard_normal(), rng.standard_normal())
-    return seq_to_poly(coeffs)
+    return BidiscPoly(coeffs)
 
 
 def test_degree_pair_covers():
@@ -78,12 +76,12 @@ def test_vec_poly_round_trip():
     f = random_poly(RNG)
     v = space.to_vec(f)
     g = space.from_vec(v)
-    assert poly_to_seq(f) == pytest.approx(poly_to_seq(g))
+    assert f.coeffs == pytest.approx(g.coeffs)
 
 
 def test_inner_product_matches_coefficient_sum():
-    f = seq_to_poly({(0, 0): 1 + 2j, (1, 1): 3.0})
-    g = seq_to_poly({(0, 0): 2.0, (1, 1): 1j, (2, 0): 5.0})
+    f = BidiscPoly({(0, 0): 1 + 2j, (1, 1): 3.0})
+    g = BidiscPoly({(0, 0): 2.0, (1, 1): 1j, (2, 0): 5.0})
     # linear in the first argument, conjugate-linear in the second
     assert inner_product(f, g) == pytest.approx((1 + 2j) * 2 + 3 * (-1j))
     assert inner_product(f, f) == pytest.approx(abs(1 + 2j) ** 2 + 9)
@@ -100,9 +98,9 @@ def test_inner_product_sesquilinearity():
 
 
 def test_poly_arithmetic_and_evaluation():
-    f = seq_to_poly({(1, 0): 1.0, (0, 1): 2.0})
+    f = BidiscPoly({(1, 0): 1.0, (0, 1): 2.0})
     g = f * f
-    assert poly_to_seq(g) == {(2, 0): 1.0, (1, 1): 4.0, (0, 2): 4.0}
+    assert g.coeffs == {(2, 0): 1.0, (1, 1): 4.0, (0, 2): 4.0}
     z, w = 0.3 + 0.1j, -0.2 + 0.5j
     assert g.evaluate(z, w) == pytest.approx((z + 2 * w) ** 2)
     diff = g - g
@@ -111,7 +109,7 @@ def test_poly_arithmetic_and_evaluation():
 
 
 def test_poly_norm_is_l2_of_coefficients():
-    f = seq_to_poly({(0, 0): 3.0, (2, 1): 4.0})
+    f = BidiscPoly({(0, 0): 3.0, (2, 1): 4.0})
     assert f.norm() == pytest.approx(5.0)
 
 
@@ -161,7 +159,7 @@ def test_shift_isometric_on_interior():
 
 def test_mult_operator_matches_poly_product_with_clipping():
     space = make_space((3, 3))
-    phi = seq_to_poly({(1, 1): 1.0, (0, 0): 0.5})
+    phi = BidiscPoly({(1, 1): 1.0, (0, 0): 0.5})
     m = mult_operator(phi, space)
     for _ in range(10):
         f = random_poly(RNG, maxdeg=(3, 3))
@@ -179,7 +177,7 @@ def test_mult_operator_rejects_oversized_symbol():
 def test_poly_json_round_trip():
     f = random_poly(RNG)
     g = BidiscPoly.from_json(f.to_json())
-    assert poly_to_seq(f) == poly_to_seq(g)
+    assert f.coeffs == g.coeffs
 
 
 def test_unknown_axis_rejected():

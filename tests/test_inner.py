@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bidiscframes.hardy import DegreePair, poly_to_seq
+from bidiscframes.hardy import DegreePair
 from bidiscframes.inner import (
     InnerSpec,
     build_inner,
@@ -20,7 +20,7 @@ def blaschke_value(alpha, t):
 def test_monomial_inner_is_exact():
     ip = build_inner(InnerSpec.monomial(2, 1), (4, 4))
     assert ip.trunc_error == 0.0
-    assert poly_to_seq(ip.poly) == {(2, 1): 1.0}
+    assert ip.poly.coeffs == {(2, 1): 1.0}
 
 
 def test_monomial_must_fit_box():
@@ -31,7 +31,7 @@ def test_monomial_must_fit_box():
 def test_blaschke_series_coefficients_alpha_half():
     # frozen from the closed form: c_0 = |a|, c_k = conj(a)^(k-1) (|a|^2 - 1)/|a| * conj(a)
     ip = build_inner(InnerSpec.blaschke_z([0.5]), (6, 0))
-    seq = poly_to_seq(ip.poly)
+    seq = ip.poly.coeffs
     assert seq[(0, 0)] == pytest.approx(0.5)
     assert seq[(1, 0)] == pytest.approx(-0.75)
     assert seq[(2, 0)] == pytest.approx(-0.375)
@@ -92,7 +92,7 @@ def test_product_of_monomials_is_monomial():
     spec = InnerSpec.product([InnerSpec.monomial(1, 0), InnerSpec.monomial(0, 1)])
     ip = build_inner(spec, (2, 2))
     assert ip.trunc_error == 0.0
-    assert poly_to_seq(ip.poly) == {(1, 1): 1.0}
+    assert ip.poly.coeffs == {(1, 1): 1.0}
 
 
 def test_product_error_bound_holds():

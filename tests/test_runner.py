@@ -164,8 +164,10 @@ def test_csv_mirrors_written(tmp_path):
     assert out.exit_code == 0
     trace = (tmp_path / "rep.frame-bounds.csv").read_text().splitlines()
     assert trace[0] == "horizon,lower,upper"
+    assert len(trace) == 1 + 5  # square sub-horizons 0..4
     orbit = (tmp_path / "rep.decay.csv").read_text().splitlines()
     assert orbit[0] == "i,j,norm"
+    assert len(orbit) == 1 + 6 * 6  # decay horizon (5, 5)
     codim = (tmp_path / "rep.codimension.csv").read_text().splitlines()
     assert codim[0] == "order,codimension"
 
