@@ -8,12 +8,15 @@ O(n^3) of n x n projectors and spectral norms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
 from .hardy import TruncatedSpace, shift_rows
 
 DEFAULT_RANK_TOL = 1e-10
+PIVOT_TIE = 1e-8
 
 
 def opnorm(a) -> float:
@@ -26,13 +29,19 @@ def opnorm(a) -> float:
 
 def _pivoted_qr(a, mode: str):
     """(q, rank) of a pivoted QR; pivots below DEFAULT_RANK_TOL times the
-    leading pivot count as numerically dependent."""
-    a = np.asarray(a, dtype=np.complex128)
+    leading pivot count as numerically dependent.
+
+    A real matrix is factorised in real arithmetic (Businger & Golub,
+    Numer. Math. 7, 1965), at about a quarter of the complex cost; q then
+    comes back real.
+    """
+    a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     n = a.shape[0]
     if a.shape[1] == 0:
-        return np.eye(n, dtype=np.complex128), 0
+        return np.eye(n, dtype=a.dtype), 0
     q, r, _ = scipy.linalg.qr(a, mode=mode, pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
@@ -47,7 +56,7 @@ def orthonormal_columns(a):
     pivot are treated as numerically dependent and dropped.
     """
     q, rank = _pivoted_qr(a, "economic")
-    return np.ascontiguousarray(q[:, :rank]), rank
+    return q[:, :rank].astype(np.complex128), rank
 
 
 def orthonormal_split(a):
@@ -55,10 +64,61 @@ def orthonormal_split(a):
     complement, from one full pivoted QR.
 
     Returns (q, complement, rank); the span basis is the one
-    orthonormal_columns gives.
+    orthonormal_columns gives, and the complement is put in the
+    canonical form of canonical_basis, so it depends only on the span.
     """
     q, rank = _pivoted_qr(a, "full")
-    return np.ascontiguousarray(q[:, :rank]), np.ascontiguousarray(q[:, rank:]), rank
+    complement, _ = canonical_basis(q[:, rank:])
+    return q[:, :rank].astype(np.complex128), complement, rank
+
+
+def canonical_basis(k0):
+    """The orthonormal basis of span(k0) that depends only on the span.
+
+    k0 must have orthonormal columns; P is the projector onto their span.
+    Column j of the result is the normalised part of P e_(c_j) orthogonal
+    to P e_(c_1), ..., P e_(c_(j-1)), where c_j is the coordinate whose
+    remaining residual is largest (largest-residual pivoting).  Residuals
+    within a relative PIVOT_TIE of the largest count as tied, and a tie
+    goes to the lowest coordinate, so a span of coordinate vectors gives
+    those vectors in increasing index order.  The residuals of P e_i are
+    those of the rows of k0, which a rotation k0 U leaves alone, so the
+    pivots are basis-free; then K = k0 Q with Q from the QR of
+    k0[c, :]^H, diag(R) > 0.  Cost O(n k^2).
+
+    Returns (K, margin) with K complex128.  margin is the smallest
+    relative gap, over the k steps, between the largest residual and the
+    largest one outside its tie window (1.0 when none is outside): a
+    perturbation of relative size well below it cannot change a pivot.
+    """
+    k0 = np.asarray(k0)
+    k = k0.shape[1]
+    if k == 0:
+        return k0.astype(np.complex128), 1.0
+    # row i of k0, conjugated, holds the coordinates of P e_i in the basis
+    # k0; its squared residual is downdated by the part along each pivot
+    res2 = np.einsum("ij,ij->i", k0, k0.conj()).real
+    dirs = np.zeros((k, k), dtype=k0.dtype)  # row j: unit direction of pivot j
+    window = (1.0 - PIVOT_TIE) ** 2
+    pivots = []
+    margin = 1.0
+    for j in range(k):
+        top2 = res2.max()
+        tied = res2 >= window * top2
+        c = int(tied.argmax())
+        below = max(np.where(tied, 0.0, res2).max(), 0.0)
+        margin = min(margin, 1.0 - math.sqrt(below / top2))
+        pivots.append(c)
+        x = k0[c].conj()
+        for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
+            x = x - (dirs[:j] @ x.conj()).conj() @ dirs[:j]
+        dirs[j] = x / np.linalg.norm(x)
+        res2 -= np.abs(k0 @ dirs[j]) ** 2
+        res2[c] = 0.0  # spent, whatever rounding is left
+    q, r = np.linalg.qr(k0[pivots].conj().T)
+    d = np.diag(r)
+    q *= d / np.abs(d)  # the phases that make diag(R) positive
+    return (k0 @ q).astype(np.complex128), margin
 
 
 def null_space_onb(a) -> np.ndarray:

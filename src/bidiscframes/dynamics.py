@@ -33,6 +33,7 @@ __all__ = [
     "adjoint_decay",
     "conjecture_probe",
     "equivalent_frame_vector",
+    "equivalent_frame_report",
     "partial_energy",
     "COMMUTE_REQ",
     "DECAY_LEVEL",
@@ -133,14 +134,23 @@ def partial_energy(sys: IterateSystem, f, start=(0, 0)) -> float:
 
 
 def equivalent_frame_vector(triple: OperatorTriple, v, horizon) -> FrameReport:
-    """Frame report for the seed V phi, where V is invertible and commutes
-    with both operators.
+    """Frame report for the seed V phi over the horizon box; see
+    equivalent_frame_report, which this calls on iterate(triple, horizon)."""
+    return equivalent_frame_report(iterate(triple, horizon), v)
+
+
+def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
+    """Frame report for the seed V phi of the base system's triple, over
+    the base system's horizon, where V is invertible and commutes with
+    both operators.
 
     Under those hypotheses the new iterates are V applied to the old
     ones, so frame-ness, minimality, and the synthesis kernel are all
     preserved; this is asserted, and violations raise.  Non-commuting or
-    singular V is rejected up front with the violated bound.
+    singular V is rejected up front with the violated bound.  The base
+    system's cached frame report and factorisation are reused.
     """
+    triple = base.triple
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (triple.dim, triple.dim):
         raise ValueError(f"map shape {v.shape} does not match dim {triple.dim}")
@@ -158,10 +168,9 @@ def equivalent_frame_vector(triple: OperatorTriple, v, horizon) -> FrameReport:
     if svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
         raise ValueError("map is numerically singular")
 
-    base = iterate(triple, horizon)
     base_report = frame_bounds(base)
     moved = iterate(
-        OperatorTriple(T1=triple.T1, T2=triple.T2, phi=v @ triple.phi), horizon
+        OperatorTriple(T1=triple.T1, T2=triple.T2, phi=v @ triple.phi), base.horizon
     )
     moved_report = frame_bounds(moved)
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from ._linalg import subspace_distance
-from .dynamics import adjoint_decay, conjecture_probe, equivalent_frame_vector
+from .dynamics import adjoint_decay, conjecture_probe, equivalent_frame_report
 from .fixtures import catalog_inner_specs, get_fixture
 from .frames import (
     GuardError,
@@ -115,6 +115,14 @@ def _parse_inner(value) -> InnerSpec:
     if isinstance(value, dict):
         return InnerSpec.from_json(value)
     raise ValueError("inner must be a catalog name or a serialized spec")
+
+
+def _seed(value, key: str) -> int:
+    """A random seed: numpy takes only nonnegative integers."""
+    seed = _integer(value, key)
+    if seed < 0:
+        raise ValueError(f"{key} must be nonnegative, got {seed}")
+    return seed
 
 
 _KNOWN_KEYS = {
@@ -219,9 +227,9 @@ class ExperimentConfig:
             inner=inner,
             generators=gens,
             fixture=fixture_name,
-            seed=_integer(merged.get("seed", 0), "seed"),
+            seed=_seed(merged.get("seed", 0), "seed"),
             transport_seed=(
-                _integer(transport_cfg["seed"], "transport seed")
+                _seed(transport_cfg["seed"], "transport seed")
                 if "seed" in transport_cfg else None
             ),
             condition_cap=float(cap),
@@ -594,7 +602,7 @@ def _check_equiv_vector(ctx: RunContext) -> CheckResult:
     t = ctx.triple
     v = np.eye(t.dim, dtype=np.complex128) + 0.5 * (t.T1 @ t.T2)
     base = frame_bounds(ctx.system)
-    moved = equivalent_frame_vector(t, v, ctx.cfg.horizon)
+    moved = equivalent_frame_report(ctx.system, v)
     passed = base.classification == moved.classification
     data = {
         "map": "I + 0.5 T1 T2",

@@ -10,12 +10,15 @@ loses invariance at the box edge: the truncated z-shift of z^(N1-p) w^j g
 keeps the terms of g below z-degree p, but z^(N1-p+1) w^j g is excluded,
 so the span need not contain it (SubmoduleModel.exact says so).
 
-Every submodule also carries an orthonormal basis of its orthogonal
-complement, taken from the same full pivoted QR that gives its own
-basis.  The quotient model is built on that complement: the two
-compressed shifts (a commuting pair of nilpotent matrices, the
-two-variable analogue of a Jordan block) and the compression of the
-constant 1 as the distinguished seed vector.  Its n x n orthogonal
+The spanning family lists each distinct product once and is real when
+the generators are, so its one full pivoted QR runs on distinct columns,
+in real arithmetic where it can.  Every submodule also carries an
+orthonormal basis of its orthogonal complement, taken from that same QR
+and put in a canonical form that depends only on the span
+(_linalg.canonical_basis).  The quotient model is built on that
+complement: the two compressed shifts (a commuting pair of nilpotent
+matrices, the two-variable analogue of a Jordan block) and the
+compression of the constant 1 as the distinguished seed vector.  Its n x n orthogonal
 projector is built on demand, only when read.  The double-commutation
 test also works from the complement, so nothing past the spanning QR
 costs more than O(n k^2) for a quotient of dimension k.
@@ -125,16 +128,36 @@ class DoublyCommuteReport:
     n_interior_w: int
 
 
-def _monomial_multiples(g: BidiscPoly, space: TruncatedSpace):
-    """Coefficient vectors of z^i w^j g for all (i, j) that keep the
-    product inside the box (degree-safe closure)."""
+def _spanning_family(gens: Sequence[BidiscPoly], space: TruncatedSpace) -> np.ndarray:
+    """Coefficient vectors of z^i w^j g for every generator g and every
+    (i, j) that keeps the product inside the box (degree-safe closure),
+    each distinct vector once, as the columns of one matrix.
+
+    z^i w^j g is fixed by the shape of g (its terms relative to the corner
+    of its smallest degrees) and by where the shift puts that corner, so
+    generators of one shape share one grid of corners and each corner
+    gives one column.  The matrix is real when every coefficient is.
+    """
     n1, n2 = space.order
-    p, q = g.maxdeg
-    cols = []
-    for i in range(n1 - p + 1):
-        for j in range(n2 - q + 1):
-            cols.append(space.to_vec(BidiscPoly.monomial(i, j) * g))
-    return cols
+    corners: dict[tuple, np.ndarray] = {}
+    for g in gens:
+        a0 = min(i for i, _ in g.coeffs)
+        b0 = min(j for _, j in g.coeffs)
+        shape = tuple(sorted(((i - a0, j - b0), c) for (i, j), c in g.coeffs.items()))
+        grid = corners.setdefault(shape, np.zeros((n1 + 1, n2 + 1), dtype=bool))
+        p, q = g.maxdeg
+        grid[a0 : a0 + n1 - p + 1, b0 : b0 + n2 - q + 1] = True
+    real = all(c.imag == 0 for shape in corners for _, c in shape)
+    total = sum(int(grid.sum()) for grid in corners.values())
+    family = np.zeros((space.dim, total), dtype=np.float64 if real else np.complex128)
+    start = 0
+    for shape, grid in corners.items():
+        ci, cj = np.nonzero(grid)
+        cols = np.arange(start, start + ci.size)
+        for (di, dj), c in shape:
+            family[(ci + di) * (n2 + 1) + cj + dj, cols] = c.real if real else c
+        start += ci.size
+    return family
 
 
 def beurling_submodule(phi: InnerPoly, space: TruncatedSpace) -> SubmoduleModel:
@@ -155,8 +178,7 @@ def beurling_submodule(phi: InnerPoly, space: TruncatedSpace) -> SubmoduleModel:
             f"submodule is approximate: inner truncation tail {phi.trunc_error:.3e}",
             stacklevel=2,
         )
-    cols = _monomial_multiples(phi.poly, space)
-    onb, complement, rank = orthonormal_split(np.column_stack(cols))
+    onb, complement, rank = orthonormal_split(_spanning_family([phi.poly], space))
     p, q = phi.poly.maxdeg
     expected = (space.order.d1 - p + 1) * (space.order.d2 - q + 1)
     if rank != expected:
@@ -172,16 +194,14 @@ def generated_submodule(generators: Iterable[BidiscPoly],
                         space: TruncatedSpace) -> SubmoduleModel:
     """Smallest degree-safe shift-invariant span containing the generators."""
     gens = tuple(g for g in generators if g.coeffs)
-    cols = []
     for g in gens:
         if not space.order.covers(g.maxdeg):
             raise ValueError(
                 f"generator degree {tuple(g.maxdeg)} exceeds box {tuple(space.order)}"
             )
-        cols.extend(_monomial_multiples(g, space))
-    if not cols:
+    if not gens:
         return zero_submodule(space)
-    onb, complement, rank = orthonormal_split(np.column_stack(cols))
+    onb, complement, rank = orthonormal_split(_spanning_family(gens, space))
     return SubmoduleModel(
         space=space, kind="generated", onb=onb, complement=complement,
         rank=rank, generators=gens,

@@ -42,6 +42,8 @@ BASE = {"fixture": "inner-zw", "checks": ["build-module"]}
         ({"output": 5}, "output must be a path prefix string"),
         ({"transport": {"condition_cap": [1]}}, "condition_cap must be a number >= 1"),
         ({"transport": {"condition_cap": -1}}, "condition_cap must be a number >= 1"),
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"transport": {"seed": -3}}, "transport seed must be nonnegative"),
     ],
 )
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, patch, message):

@@ -3,11 +3,15 @@
 The package computes the double-commutation, kernel and quotient tests
 from the k-dimensional complement of each subspace, and reads the frame
 report, the row space and the recovered model off one cached thin SVD
-per iterate system.  The reference functions below are the versions
-those replaced: n x n compressions, null-space SVDs, projector
-differences, column-index lists, a full SVD per recovery and a Jordan
-sweep that recomputes each iterate.  They live here only, as the
-yardstick: verdicts and counts must agree exactly, residuals to 1e-12.
+per iterate system.  Its spanning family has no duplicate columns and is
+factorised in real arithmetic when it is real, and the complement comes
+out in a canonical form that depends only on the span.  The reference
+functions below are the versions those replaced: n x n compressions,
+null-space SVDs, projector differences, column-index lists, a full SVD
+per recovery, a Jordan sweep that recomputes each iterate, and one full
+complex pivoted QR of the family with every duplicate.  They live here
+only, as the yardstick: verdicts and counts must agree exactly,
+residuals to 1e-12.
 """
 
 import warnings
@@ -16,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bidiscframes._linalg import subspace_distance
+from bidiscframes._linalg import canonical_basis, subspace_distance
 from bidiscframes.fixtures import CATALOG, build_chain
 from bidiscframes.frames import (
     CLASS_RTOL,
@@ -34,11 +38,13 @@ from bidiscframes.hardy import BidiscPoly, make_space, shift_matrix, shift_rows
 from bidiscframes.models import recover_model
 from bidiscframes.submodule import (
     COMMUTE_TOL,
+    _spanning_family,
     doubly_commute_test,
     generated_submodule,
     jordan_identity_check,
     jordan_identity_residual,
     quotient,
+    zero_submodule,
 )
 
 TOL = 1e-12
@@ -196,6 +202,28 @@ def ref_jordan_identity_check(quot):
             "n_checked": len(residuals)}
 
 
+def ref_family(sub):
+    """The spanning family built one product at a time, with duplicates."""
+    gens = (sub.inner.poly,) if sub.kind == "beurling" else sub.generators
+    n1, n2 = sub.space.order
+    cols = []
+    for g in gens:
+        p, q = g.maxdeg
+        for i in range(n1 - p + 1):
+            for j in range(n2 - q + 1):
+                cols.append(sub.space.to_vec(BidiscPoly.monomial(i, j) * g))
+    return np.column_stack(cols)
+
+
+def ref_complement(sub):
+    """(rank, complement) from a full complex pivoted QR of ref_family."""
+    q, r, _ = scipy.linalg.qr(ref_family(sub).astype(np.complex128), mode="full",
+                              pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > 1e-10 * diag[0]))
+    return rank, q[:, rank:]
+
+
 # --- comparison helpers -------------------------------------------------
 
 
@@ -297,6 +325,20 @@ def assert_factorisation_matches(sys):
     assert rec.cond_W == pytest.approx(ref["cond_W"], rel=TOL)
     for key in ("intertwine_residual_z", "intertwine_residual_w", "residual_phi"):
         assert getattr(rec, key) == pytest.approx(ref[key], abs=TOL)
+
+
+def assert_complement_is_canonical(sub, rng):
+    """The complement is the reference complement in canonical form, and
+    that form does not move when the input basis is rotated."""
+    rank, ref = ref_complement(sub)
+    k = sub.complement
+    assert sub.rank == rank
+    assert k.shape == ref.shape and k.dtype == np.complex128
+    assert np.abs(k - canonical_basis(ref)[0]).max(initial=0.0) <= TOL
+    dim = k.shape[1]
+    u = np.linalg.qr(rng.standard_normal((dim, dim))
+                     + 1j * rng.standard_normal((dim, dim)))[0]
+    assert np.abs(k - canonical_basis(ref @ u)[0]).max(initial=0.0) <= TOL
 
 
 def assert_jordan_matches(quot):
@@ -497,3 +539,77 @@ def test_random_generated_modules_jordan_sweep_matches_reference():
     rng = np.random.default_rng(20260101)
     for _ in range(30):
         assert_jordan_matches(quotient(random_generated_module(rng)))
+
+
+CANONICAL_CASES = [
+    (fixture, order) for fixture in CATALOG for order in ((6, 6), (12, 12), (9, 5))
+    if fixture.kind != "riesz"
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,order", CANONICAL_CASES,
+    ids=[f"{f.name}-{o}" for f, o in CANONICAL_CASES],
+)
+def test_catalog_complement_is_canonical(fixture, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sub = fixture.make_submodule(make_space(order))
+    assert_complement_is_canonical(sub, np.random.default_rng(17))
+    # no residual sits near the edge of a tie window
+    assert canonical_basis(sub.complement)[1] >= 1e-6
+
+
+def test_random_generated_complements_are_canonical():
+    rng = np.random.default_rng(20260101)
+    for _ in range(50):
+        assert_complement_is_canonical(random_generated_module(rng), rng)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda space: generated_submodule([BidiscPoly.monomial(1, 0),
+                                           BidiscPoly.monomial(0, 1)], space),
+        lambda space: generated_submodule([BidiscPoly.monomial(2, 1),
+                                           BidiscPoly.monomial(0, 3),
+                                           BidiscPoly.monomial(1, 2)], space),
+        lambda space: next(f for f in CATALOG if f.name == "inner-z2w").make_submodule(space),
+        lambda space: next(f for f in CATALOG if f.name == "inner-w").make_submodule(space),
+        zero_submodule,
+    ],
+    ids=["z-w", "z2w-w3-zw2", "inner-z2w", "inner-w", "zero"],
+)
+@pytest.mark.parametrize("order", [(6, 6), (9, 5)])
+def test_monomial_complement_is_sorted_coordinate_vectors(make, order):
+    """A module spanned by monomials has the monomials outside it as
+    complement; the canonical basis lists them in index order, bytes and
+    all (the identity for the zero module)."""
+    space = make_space(order)
+    sub = make(space)
+    gens = (sub.inner.poly,) if sub.kind == "beurling" else sub.generators
+    i, j = space.degree_grid()
+    inside = np.zeros(space.dim, dtype=bool)
+    for g in gens:
+        (p, q), = g.coeffs
+        inside |= (i >= p) & (j >= q)
+    expected = np.eye(space.dim, dtype=np.complex128)[:, ~inside]
+    assert sub.complement.tobytes() == expected.tobytes()
+    assert sub.complement.shape == expected.shape
+
+
+def test_spanning_family_lists_each_distinct_product_once():
+    """The family has exactly the distinct columns of ref_family, and is
+    real when every generator coefficient is."""
+    rng = np.random.default_rng(20260101)
+    zw = generated_submodule([BidiscPoly.monomial(1, 0), BidiscPoly.monomial(0, 1)],
+                             make_space((5, 5)))
+    subs = [zw] + [random_generated_module(rng) for _ in range(20)]
+    for sub in subs:
+        family = _spanning_family(sub.generators, sub.space)
+        distinct = np.unique(ref_family(sub), axis=1)
+        assert family.shape == distinct.shape
+        np.testing.assert_array_equal(np.unique(family, axis=1), distinct)
+        real = all(c.imag == 0 for g in sub.generators for c in g.coeffs.values())
+        assert family.dtype == (np.float64 if real else np.complex128)
+    assert _spanning_family(zw.generators, zw.space).shape == (36, 35)

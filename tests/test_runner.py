@@ -312,3 +312,19 @@ def test_cli_suite_directory(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count(": pass") == 2
+
+
+def test_equiv_vector_check_reuses_the_run_system(monkeypatch):
+    """The check iterates only the moved seed; the base system is the
+    run's own, with its cached frame report."""
+    from bidiscframes import dynamics
+
+    cfg = ExperimentConfig.from_json({"inner": "z2w", "order": [4, 4], "checks": ["equiv-vector"]})
+    base = run(cfg).results[0]
+    calls = []
+    real_iterate = dynamics.iterate
+    monkeypatch.setattr(dynamics, "iterate",
+                        lambda *args: calls.append(args) or real_iterate(*args))
+    again = run(cfg).results[0]
+    assert len(calls) == 1
+    assert again.to_json() == base.to_json()
