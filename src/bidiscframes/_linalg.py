@@ -72,6 +72,26 @@ def orthonormal_split(a):
     return q[:, :rank].astype(np.complex128), complement, rank
 
 
+def kronecker_split(f1, f2):
+    """orthonormal_split of the Kronecker product f1 (x) f2, in the
+    row-major index, from one full pivoted QR of each factor.
+
+    With Q_i = [M_i K_i] the QR of f_i split at its rank r_i, the span of
+    f1 (x) f2 is that of M1 (x) M2, and its complement is spanned by the
+    orthonormal columns of [K1 (x) I, M1 (x) K2] (Van Loan, J. Comput.
+    Appl. Math. 123, 2000).  Returns (m1, m2, complement, rank), with the
+    span basis left in factored form m1 (x) m2, the complement canonical
+    and the rank r1 r2.  Each QR has only the rows of its factor; the
+    canonical basis costs O(n k^2).
+    """
+    (q1, r1), (q2, r2) = _pivoted_qr(f1, "full"), _pivoted_qr(f2, "full")
+    k0 = np.hstack([np.kron(q1[:, r1:], np.eye(q2.shape[0])),
+                    np.kron(q1[:, :r1], q2[:, r2:])])
+    complement, _ = canonical_basis(k0)
+    m1, m2 = q1[:, :r1].astype(np.complex128), q2[:, :r2].astype(np.complex128)
+    return m1, m2, complement, r1 * r2
+
+
 def canonical_basis(k0):
     """The orthonormal basis of span(k0) that depends only on the span.
 

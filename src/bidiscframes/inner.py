@@ -6,6 +6,11 @@ so the value at the origin is positive), and products of such specs.
 Non-monomial factors have infinite Taylor expansions, so building them
 on a degree box truncates; the truncation is certified by an l2 tail
 bound carried on the result.
+
+Every such function is separable, theta(z, w) = theta1(z) theta2(w), and
+its truncation is the product of the two one-variable truncations, so
+the result also carries theta1 and theta2 as coefficient arrays
+(InnerPoly.axis_factors).
 """
 
 from __future__ import annotations
@@ -132,11 +137,17 @@ def _is_real_pair(z) -> bool:
 class InnerPoly:
     """A truncated inner function: the defining spec, the polynomial that
     represents it on a degree box, and an l2 bound on the dropped tail
-    (0 for purely monomial specs)."""
+    (0 for purely monomial specs).
+
+    axis_factors, when known, holds the coefficient arrays of theta1(z) and
+    theta2(w), truncated to the box, with poly = theta1(z) theta2(w) up
+    to rounding; build_inner always sets it.
+    """
 
     spec: InnerSpec
     poly: BidiscPoly
     trunc_error: float
+    axis_factors: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -194,6 +205,17 @@ def _accumulate(acc: BidiscPoly, acc_err: float, fpoly: BidiscPoly,
     return clipped, acc_err + l1 * ftail + dropped
 
 
+def _unit(a: int) -> np.ndarray:
+    """Coefficients of t^a."""
+    c = np.zeros(a + 1, dtype=np.complex128)
+    c[a] = 1.0
+    return c
+
+
+def _truncated_product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    return np.convolve(a, b)[: order + 1]
+
+
 def build_inner(spec: InnerSpec, order) -> InnerPoly:
     """Truncate an inner function to a degree box.
 
@@ -208,11 +230,13 @@ def build_inner(spec: InnerSpec, order) -> InnerPoly:
                 f"monomial degree {tuple(spec.degree)} exceeds box {tuple(order)}"
             )
         a, b = spec.degree
-        return InnerPoly(spec=spec, poly=BidiscPoly.monomial(a, b), trunc_error=0.0)
+        return InnerPoly(spec=spec, poly=BidiscPoly.monomial(a, b), trunc_error=0.0,
+                         axis_factors=(_unit(a), _unit(b)))
 
     if spec.kind in ("blaschke_z", "blaschke_w"):
         axis_order = order.d1 if spec.kind == "blaschke_z" else order.d2
         acc, err = BidiscPoly.one(), 0.0
+        theta = _unit(0)
         for zero in spec.zeros:
             series, tail = _factor_series(zero, axis_order)
             if spec.kind == "blaschke_z":
@@ -220,14 +244,20 @@ def build_inner(spec: InnerSpec, order) -> InnerPoly:
             else:
                 fpoly = BidiscPoly({(0, k): series[k] for k in range(axis_order + 1)})
             acc, err = _accumulate(acc, err, fpoly, tail, order)
-        return InnerPoly(spec=spec, poly=acc, trunc_error=err)
+            theta = _truncated_product(theta, series, axis_order)
+        axes = (theta, _unit(0)) if spec.kind == "blaschke_z" else (_unit(0), theta)
+        return InnerPoly(spec=spec, poly=acc, trunc_error=err, axis_factors=axes)
 
     if spec.kind == "product":
         acc, err = BidiscPoly.one(), 0.0
+        theta1, theta2 = _unit(0), _unit(0)
         for factor in spec.factors:
             built = build_inner(factor, order)
             acc, err = _accumulate(acc, err, built.poly, built.trunc_error, order)
-        return InnerPoly(spec=spec, poly=acc, trunc_error=err)
+            theta1 = _truncated_product(theta1, built.axis_factors[0], order.d1)
+            theta2 = _truncated_product(theta2, built.axis_factors[1], order.d2)
+        return InnerPoly(spec=spec, poly=acc, trunc_error=err,
+                         axis_factors=(theta1, theta2))
 
     raise ValueError(f"unknown inner kind {spec.kind!r}")
 

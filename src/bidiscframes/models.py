@@ -257,7 +257,9 @@ def uniqueness_of_L(sys: IterateSystem, l1, l2) -> UniquenessReport:
     The common target triple is derived from the first witness; the
     second is certified against it.  For frame systems the intertwining
     equations pin the witness down on the closed span of the iterates,
-    so certified witnesses must coincide.
+    so certified witnesses must coincide.  A system that is not a frame,
+    or a witness that is singular or not certified, is a false
+    precondition (PreconditionError).
     """
     report = frame_bounds(sys)
     if not report.is_frame:
@@ -279,10 +281,10 @@ def uniqueness_of_L(sys: IterateSystem, l1, l2) -> UniquenessReport:
     for name, l in (("first", l1), ("second", l2)):
         svals = np.linalg.svd(l, compute_uv=False)
         if svals[0] == 0.0 or svals[-1] <= 1e-14 * svals[0]:
-            raise ValueError(f"{name} witness is numerically singular")
+            raise PreconditionError(f"{name} witness is numerically singular")
         bad = [r for r in _resids(l) if r > WITNESS_TOL]
         if bad:
-            raise ValueError(
+            raise PreconditionError(
                 f"{name} witness not certified: residual {max(bad):.3e} > {WITNESS_TOL:.1e}"
             )
 

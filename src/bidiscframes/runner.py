@@ -11,8 +11,9 @@ metadata file so reports can be compared directly.
 Exit-code contract: 0 all checks pass, 1 a mathematical check failed,
 2 config error (raised as ValueError), 3 numerical guard (GuardError).
 A check whose mathematical precondition is false (PreconditionError, for
-example "not a frame") fails like any other check, with the reason as
-its note.
+example "not a frame"), or whose asserted invariant fails
+(InvariantViolation), fails like any other check, with the reason as its
+note.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .dynamics import adjoint_decay, conjecture_probe, equivalent_frame_report
 from .fixtures import catalog_inner_specs, get_fixture
 from .frames import (
     GuardError,
+    InvariantViolation,
     IterateSystem,
     OperatorTriple,
     PreconditionError,
@@ -672,7 +674,7 @@ def _csv_mirror(result: CheckResult, prefix: Path) -> list[str]:
 def _run_check(name: str, ctx: RunContext) -> CheckResult:
     try:
         return _REGISTRY[name](ctx)
-    except PreconditionError as exc:
+    except (PreconditionError, InvariantViolation) as exc:
         return CheckResult(name, False, {}, note=str(exc))
 
 

@@ -1,27 +1,39 @@
 """Shift-invariant submodules of the truncated space and their quotients.
 
-A submodule here is a subspace invariant under both coordinate shifts,
-represented by an orthonormal basis of columns.  Construction is
-degree-safe: spanning products that would leave the degree box are
-excluded rather than clipped.  The span is then genuinely shift-invariant
-inside the box for a polynomial inner function and for monomial
-generators.  A generator g of bidegree (p, q) with more than one term
-loses invariance at the box edge: the truncated z-shift of z^(N1-p) w^j g
-keeps the terms of g below z-degree p, but z^(N1-p+1) w^j g is excluded,
-so the span need not contain it (SubmoduleModel.exact says so).
+A submodule here is a subspace invariant under both coordinate shifts.
+Construction is degree-safe: spanning products that would leave the
+degree box are excluded rather than clipped.  The span is then genuinely
+shift-invariant inside the box for a polynomial inner function and for
+monomial generators.  A generator g of bidegree (p, q) with more than one
+term loses invariance at the box edge: the truncated z-shift of
+z^(N1-p) w^j g keeps the terms of g below z-degree p, but
+z^(N1-p+1) w^j g is excluded, so the span need not contain it
+(SubmoduleModel.exact says so).
 
-The spanning family lists each distinct product once and is real when
-the generators are, so its one full pivoted QR runs on distinct columns,
-in real arithmetic where it can.  Every submodule also carries an
-orthonormal basis of its orthogonal complement, taken from that same QR
-and put in a canonical form that depends only on the span
-(_linalg.canonical_basis).  The quotient model is built on that
-complement: the two compressed shifts (a commuting pair of nilpotent
+Every submodule carries an orthonormal basis K of its orthogonal
+complement, in a canonical form that depends only on the span
+(_linalg.canonical_basis).  No module a config can build needs a
+factorisation with n = (N1+1)(N2+1) rows:
+
+- monomial generators, and monomial inners, span a union of quadrants of
+  the coefficient grid, so both bases are coordinate vectors and K is the
+  missing monomials in index order;
+- every other inner a config can build is separable, theta1(z) theta2(w),
+  so its spanning family is a Kronecker product and K comes from one
+  pivoted QR of each one-variable family (_linalg.kronecker_split);
+- only generators with more than one term (library use) take one full
+  pivoted QR of the spanning family, which lists each distinct product
+  once and is real when the generators are.
+
+The submodule's own basis is the largest array (n x rank); it is kept in
+factored form and built only when read.  The quotient model is built on
+the complement: the two compressed shifts (a commuting pair of nilpotent
 matrices, the two-variable analogue of a Jordan block) and the
-compression of the constant 1 as the distinguished seed vector.  Its n x n orthogonal
-projector is built on demand, only when read.  The double-commutation
-test also works from the complement, so nothing past the spanning QR
-costs more than O(n k^2) for a quotient of dimension k.
+compression of the constant 1 as the distinguished seed vector.  Its
+n x n orthogonal projector is built on demand, only when read.  The
+double-commutation test also works from the complement, so nothing
+costs more than O(n k^2) for a quotient of dimension k, besides the
+dense QR of multi-term generators.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from __future__ import annotations
 import base64
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,6 +49,7 @@ import numpy as np
 from ._linalg import (
     compressed_commutator_residual,
     iterate_grid,
+    kronecker_split,
     opnorm,
     orthonormal_split,
 )
@@ -66,16 +80,44 @@ COMPLEMENT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SubmoduleModel:
-    """Shift-invariant subspace with an orthonormal column basis, and an
-    orthonormal basis of its orthogonal complement."""
+    """Shift-invariant subspace with an orthonormal basis of its
+    orthogonal complement.
+
+    The orthonormal basis Q of the subspace itself is kept in factored
+    form and built only when `onb` is read: Q = M1 (x) M2 for the pair
+    `onb_factors` (a basis without that structure is stored as
+    (Q, [[1]])), or Q is the coordinate vectors of the rows `onb_rows`,
+    in index order.
+    """
 
     space: TruncatedSpace
     kind: str  # "beurling" | "generated" | "zero"
-    onb: np.ndarray
     complement: np.ndarray
     rank: int
     inner: InnerPoly | None = None
     generators: tuple[BidiscPoly, ...] = ()
+    onb_factors: tuple[np.ndarray, np.ndarray] | None = None
+    onb_rows: np.ndarray | None = None
+
+    @cached_property
+    def onb(self) -> np.ndarray:
+        """Orthonormal basis of the subspace (n x rank), built on first read."""
+        if self.onb_rows is not None:
+            onb = np.zeros((self.space.dim, self.rank), dtype=np.complex128)
+            onb[self.onb_rows, np.arange(self.rank)] = 1.0
+            return onb
+        return np.kron(*self.onb_factors)
+
+    def onb_adjoint(self, x) -> np.ndarray:
+        """Q^H x for x with n rows, without forming Q: the rows onb_rows
+        of x, or M1^H and M2^H applied to the axes of x read as a
+        coefficient grid.  O(n c (N1 + N2)) for c columns."""
+        if self.onb_rows is not None:
+            return x[self.onb_rows]
+        m1, m2 = self.onb_factors
+        grid = m1.conj().T @ x.reshape(m1.shape[0], -1)
+        grid = m2.conj().T @ grid.reshape(m1.shape[1], m2.shape[0], -1)
+        return grid.reshape(self.rank, -1)
 
     @property
     def exact(self) -> bool:
@@ -103,9 +145,9 @@ class QuotientModel:
 
     @property
     def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the quotient (n x n), built on each read."""
-        q = self.parent.onb
-        return np.eye(q.shape[0], dtype=np.complex128) - q @ q.conj().T
+        """Orthogonal projector K K^H onto the quotient (n x n), built on
+        each read."""
+        return self.onb_k @ self.onb_k.conj().T
 
     @property
     def dim(self) -> int:
@@ -160,12 +202,55 @@ def _spanning_family(gens: Sequence[BidiscPoly], space: TruncatedSpace) -> np.nd
     return family
 
 
+def _shift_family(theta: np.ndarray, order: int) -> np.ndarray:
+    """Coefficient vectors of t^i theta(t) for i = 0, ..., order - p
+    (p = deg theta) as columns: the one-variable spanning family, real
+    when theta is."""
+    theta = np.trim_zeros(theta, "b")
+    if not theta.imag.any():
+        theta = theta.real
+    family = np.zeros((order + 1, order - theta.size + 2), dtype=theta.dtype)
+    for i in range(family.shape[1]):
+        family[i : i + theta.size, i] = theta
+    return family
+
+
+def _split(gens: Sequence[BidiscPoly], space: TruncatedSpace, axis_factors=None):
+    """(complement, rank, stored basis) of the degree-safe closure of gens.
+
+    Monomials span a union of quadrants: both bases are coordinate
+    vectors, the complement the missing monomials in index order.  A
+    separable generator theta1(z) theta2(w), given as axis_factors, goes
+    through the one-variable factorisations of kronecker_split.  Anything
+    else takes the full pivoted QR of the spanning family.  The stored
+    basis is the onb_rows or onb_factors keyword of SubmoduleModel.
+    """
+    if all(len(g.coeffs) == 1 for g in gens):
+        i, j = space.degree_grid()
+        inside = np.zeros(space.dim, dtype=bool)
+        for g in gens:
+            (a, b), = g.coeffs
+            inside |= (i >= a) & (j >= b)
+        missing = np.flatnonzero(~inside)
+        complement = np.zeros((space.dim, missing.size), dtype=np.complex128)
+        complement[missing, np.arange(missing.size)] = 1.0
+        rows = np.flatnonzero(inside)
+        return complement, rows.size, {"onb_rows": rows}
+    if axis_factors is not None:
+        families = (_shift_family(t, d) for t, d in zip(axis_factors, space.order))
+        m1, m2, complement, rank = kronecker_split(*families)
+        return complement, rank, {"onb_factors": (m1, m2)}
+    onb, complement, rank = orthonormal_split(_spanning_family(gens, space))
+    return complement, rank, {"onb_factors": (onb, np.ones((1, 1)))}
+
+
 def beurling_submodule(phi: InnerPoly, space: TruncatedSpace) -> SubmoduleModel:
     """Submodule spanned by phi times every monomial that fits in the box.
 
     For an inner phi, multiplication is isometric, so the spanning family
     must be independent; the rank is asserted to be the full count
-    (N1 - p + 1)(N2 - q + 1) where (p, q) = maxdeg(phi).
+    (N1 - p + 1)(N2 - q + 1) where (p, q) = maxdeg(phi).  A phi with
+    recorded axis factors is split without an n-row factorisation.
     """
     if not phi.poly.coeffs:
         raise ValueError("inner polynomial is zero")
@@ -178,7 +263,7 @@ def beurling_submodule(phi: InnerPoly, space: TruncatedSpace) -> SubmoduleModel:
             f"submodule is approximate: inner truncation tail {phi.trunc_error:.3e}",
             stacklevel=2,
         )
-    onb, complement, rank = orthonormal_split(_spanning_family([phi.poly], space))
+    complement, rank, basis = _split([phi.poly], space, phi.axis_factors)
     p, q = phi.poly.maxdeg
     expected = (space.order.d1 - p + 1) * (space.order.d2 - q + 1)
     if rank != expected:
@@ -186,8 +271,8 @@ def beurling_submodule(phi: InnerPoly, space: TruncatedSpace) -> SubmoduleModel:
             f"rank {rank} != expected {expected}; generator is not behaving "
             "like an isometric multiplier at this tolerance"
         )
-    return SubmoduleModel(space=space, kind="beurling", onb=onb,
-                          complement=complement, rank=rank, inner=phi)
+    return SubmoduleModel(space=space, kind="beurling", complement=complement,
+                          rank=rank, inner=phi, **basis)
 
 
 def generated_submodule(generators: Iterable[BidiscPoly],
@@ -201,21 +286,15 @@ def generated_submodule(generators: Iterable[BidiscPoly],
             )
     if not gens:
         return zero_submodule(space)
-    onb, complement, rank = orthonormal_split(_spanning_family(gens, space))
-    return SubmoduleModel(
-        space=space, kind="generated", onb=onb, complement=complement,
-        rank=rank, generators=gens,
-    )
+    complement, rank, basis = _split(gens, space)
+    return SubmoduleModel(space=space, kind="generated", complement=complement,
+                          rank=rank, generators=gens, **basis)
 
 
 def zero_submodule(space: TruncatedSpace) -> SubmoduleModel:
-    return SubmoduleModel(
-        space=space,
-        kind="zero",
-        onb=np.zeros((space.dim, 0), dtype=np.complex128),
-        complement=np.eye(space.dim, dtype=np.complex128),
-        rank=0,
-    )
+    complement, rank, basis = _split((), space)
+    return SubmoduleModel(space=space, kind="zero", complement=complement,
+                          rank=rank, **basis)
 
 
 def quotient(sub: SubmoduleModel) -> QuotientModel:
@@ -226,12 +305,13 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
     the order of the truncation tail and is recorded with a warning.
 
     The complement basis K is certified by ||K^H K - I|| and ||Q^H K||
-    (Q the submodule basis), both at most 1e-10.  This stands in for
+    (Q the submodule basis, applied in factored form without being
+    built), both at most 1e-10.  This stands in for
     checking the projector P = K K^H: P is Hermitian by construction, and
     ||P^2 - P|| = ||K (K^H K - I) K^H|| <= e (1 + e) with e = ||K^H K - I||.
     """
     space = sub.space
-    q, onb_k = sub.onb, sub.complement
+    onb_k = sub.complement
     k = onb_k.shape[1]
     if k != space.dim - sub.rank:
         raise RuntimeError("complement dimension mismatch")
@@ -239,7 +319,7 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
         warnings.warn("trivial quotient: submodule fills the whole box", stacklevel=2)
 
     orth = opnorm(onb_k.conj().T @ onb_k - np.eye(k))
-    cross = opnorm(q.conj().T @ onb_k)
+    cross = opnorm(sub.onb_adjoint(onb_k))
     if orth > COMPLEMENT_TOL or cross > COMPLEMENT_TOL:
         raise RuntimeError(
             f"complement defect beyond tolerance (orth {orth:.2e}, cross {cross:.2e})"

@@ -1,15 +1,28 @@
-"""tools/compare_reports.py on two report directories of `bdf suite`."""
+"""tools/compare_reports.py on two report directories of `bdf suite`, and
+the config set that tools/report_configs.py writes for it."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-from bidiscframes.cli import main as bdf
+import pytest
 
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
-_spec = importlib.util.spec_from_file_location("compare_reports", _TOOL)
-compare_reports = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_reports)
+from bidiscframes.cli import main as bdf
+from bidiscframes.fixtures import CATALOG
+from bidiscframes.runner import CHECK_NAMES, ExperimentConfig
+
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_reports = _load_tool("compare_reports")
+report_configs = _load_tool("report_configs")
 
 
 def _suite(tmp_path, name):
@@ -37,3 +50,22 @@ def test_identical_directories_exit_0_and_a_flipped_verdict_exits_1(tmp_path, ca
     summary.write_text(json.dumps(data))
     assert compare_reports.main([str(a), str(b)]) == 1
     assert "checks[0].passed: True != False" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:horizon")  # the blaschke-half run, on purpose
+def test_report_configs_writes_configs_the_runner_accepts(tmp_path, capsys):
+    out = tmp_path / "configs"
+    assert report_configs.main([str(out)]) == 0
+    paths = sorted(out.glob("*.json"))
+    assert f"wrote {len(paths)} configs" in capsys.readouterr().out
+    # per fixture: each check alone (codimension needs an inner), all
+    # checks at the default order and at (12, 12); then the ladder and
+    # the three larger runs
+    with_inner = sum(f.spec is not None for f in CATALOG)
+    singles = len(CATALOG) * len(CHECK_NAMES) - (len(CATALOG) - with_inner)
+    assert len(paths) == singles + 2 * len(CATALOG) + 3 * 6 + 3
+    for path in paths:
+        cfg = ExperimentConfig.from_json(json.loads(path.read_text()))
+        assert cfg.fmt == "csv" and cfg.checks
+        if "codimension" in cfg.checks:
+            assert cfg.inner is not None

@@ -11,16 +11,26 @@ null-space SVDs, projector differences, column-index lists, a full SVD
 per recovery, a Jordan sweep that recomputes each iterate, and one full
 complex pivoted QR of the family with every duplicate.  They live here
 only, as the yardstick: verdicts and counts must agree exactly,
-residuals to 1e-12.
+residuals to 1e-12.  The structured submodules (coordinate vectors for
+monomials, one-variable factorisations for separable inners) are also
+pinned to the package's own dense path, orthonormal_split of the
+spanning family, which multi-term generators still take.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from bidiscframes._linalg import canonical_basis, subspace_distance
+from bidiscframes import runner
+from bidiscframes._linalg import (
+    canonical_basis,
+    opnorm,
+    orthonormal_split,
+    subspace_distance,
+)
 from bidiscframes.fixtures import CATALOG, build_chain
 from bidiscframes.frames import (
     CLASS_RTOL,
@@ -35,10 +45,12 @@ from bidiscframes.frames import (
     synthesis_rowspace,
 )
 from bidiscframes.hardy import BidiscPoly, make_space, shift_matrix, shift_rows
+from bidiscframes.inner import InnerSpec, build_inner
 from bidiscframes.models import recover_model
 from bidiscframes.submodule import (
     COMMUTE_TOL,
     _spanning_family,
+    beurling_submodule,
     doubly_commute_test,
     generated_submodule,
     jordan_identity_check,
@@ -613,3 +625,136 @@ def test_spanning_family_lists_each_distinct_product_once():
         real = all(c.imag == 0 for g in sub.generators for c in g.coeffs.values())
         assert family.dtype == (np.float64 if real else np.complex128)
     assert _spanning_family(zw.generators, zw.space).shape == (36, 35)
+
+
+# --- structured submodules against the dense split ------------------------
+
+
+def dense_split(sub):
+    """(onb, complement, rank) from one full pivoted QR of the spanning
+    family: the path that multi-term generators take."""
+    gens = (sub.inner.poly,) if sub.kind == "beurling" else sub.generators
+    return orthonormal_split(_spanning_family(gens, sub.space))
+
+
+def assert_split_matches_dense(sub, rng, min_margin=1e-6):
+    """Same rank, K within TOL, and a tie margin of at least min_margin
+    and of at least 1e4 times the largest deviation between the two
+    paths' pivot residuals (the squared row norms of K), so that no pivot
+    is decided by rounding."""
+    onb, k, rank = dense_split(sub)
+    assert sub.rank == rank
+    assert sub.complement.shape == k.shape
+    assert np.abs(sub.complement - k).max(initial=0.0) <= TOL
+    margin = canonical_basis(sub.complement)[1]
+    drift = np.abs(np.linalg.norm(sub.complement, axis=1) ** 2
+                   - np.linalg.norm(k, axis=1) ** 2).max(initial=0.0)
+    assert margin >= max(min_margin, 1e4 * drift)
+    # the lazy basis spans the dense one, and its factored adjoint is Q^H
+    assert sub.onb.shape == onb.shape
+    assert opnorm(sub.onb.conj().T @ sub.onb - np.eye(rank)) <= TOL
+    assert subspace_distance(sub.onb, onb) <= TOL
+    x = rng.standard_normal((sub.space.dim, 3)) + 1j * rng.standard_normal((sub.space.dim, 3))
+    assert np.abs(sub.onb_adjoint(x) - sub.onb.conj().T @ x).max(initial=0.0) <= TOL
+    # the quotient's cross certificate, in factored form
+    cross = opnorm(sub.onb_adjoint(sub.complement))
+    assert cross == pytest.approx(opnorm(onb.conj().T @ k), abs=TOL)
+
+
+SPLIT_CASES = [
+    (fixture, order) for fixture in CATALOG for order in ((6, 6), (12, 12), (9, 5))
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,order", SPLIT_CASES, ids=[f"{f.name}-{o}" for f, o in SPLIT_CASES],
+)
+def test_catalog_split_matches_dense_split(fixture, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sub = fixture.make_submodule(make_space(order))
+    assert_split_matches_dense(sub, np.random.default_rng(19))
+
+
+def random_separable_inner(rng, order):
+    """A product of several z and w Blaschke factors with complex zeros
+    and a monomial, truncated to a random box inside order."""
+    def zeros():
+        return [complex(*rng.uniform(-0.6, 0.6, size=2))
+                for _ in range(int(rng.integers(1, 3)))]
+
+    a, b = (int(d) for d in rng.integers(0, 3, size=2))
+    spec = InnerSpec.product([
+        InnerSpec.blaschke_z(zeros()), InnerSpec.blaschke_w(zeros()),
+        InnerSpec.monomial(a, b),
+        InnerSpec.blaschke_z(zeros()), InnerSpec.blaschke_w(zeros()),
+    ])
+    box = (int(rng.integers(a, order[0] + 1)), int(rng.integers(b, order[1] + 1)))
+    return build_inner(spec, box)
+
+
+@pytest.mark.parametrize("order", [(6, 6), (12, 12), (9, 5)])
+def test_random_separable_splits_match_dense_split(order):
+    """Many factors truncated near the box edge leave most pivot
+    residuals just below 1, a few 1e-8 apart, so the tie margin can fall
+    to its floor of 1e-8 (1.03e-8 here at (12, 12)); the margin is then
+    held only against the deviation between the two paths."""
+    rng = np.random.default_rng(20261018)
+    space = make_space(order)
+    for _ in range(8):
+        phi = random_separable_inner(rng, order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sub = beurling_submodule(phi, space)
+            # without its axis factors the same inner takes the dense path
+            dense = beurling_submodule(dataclasses.replace(phi, axis_factors=None), space)
+        if len(phi.poly.coeffs) == 1:  # truncated to the monomial part
+            assert sub.onb_rows is not None
+        else:
+            assert sub.onb_factors[0].shape[0] == order[0] + 1
+            assert dense.onb_factors[0].shape[0] == space.dim
+        assert_split_matches_dense(sub, rng, min_margin=0.0)
+        assert np.abs(sub.complement - dense.complement).max() <= TOL
+
+
+@pytest.mark.parametrize("fixture", CATALOG, ids=[f.name for f in CATALOG])
+def test_quotient_projector_is_complement_projector(fixture):
+    """K K^H, built from the complement alone, is I - Q Q^H."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quot = quotient(fixture.make_submodule(make_space(fixture.order)))
+    q = quot.parent.onb
+    dense = np.eye(q.shape[0]) - q @ q.conj().T
+    assert np.abs(quot.projector - dense).max() <= TOL
+
+
+LARGE_BOX = [
+    {"fixture": "inner-zw", "checks": ["build-module", "mandrekar", "jordan",
+                                       "frame-bounds", "kernel-invariance",
+                                       "kernel-doubly-commutes", "similarity",
+                                       "recover", "decay", "equiv-vector"]},
+    {"fixture": "generated-zw", "checks": ["build-module", "mandrekar"]},
+]
+
+
+@pytest.mark.parametrize(
+    "config,factorised",
+    [(cfg, False) for cfg in LARGE_BOX]
+    + [({"fixture": name, "checks": ["build-module", "mandrekar", "jordan"]}, True)
+       for name in ("blaschke-half", "blaschke-product")],
+    ids=["inner-zw", "generated-zw", "blaschke-half", "blaschke-product"],
+)
+def test_no_factorisation_sees_an_n_row_matrix(monkeypatch, config, factorised):
+    """At order (10, 10) every pivoted QR of a run has at most
+    max(N1, N2) + 1 = 11 rows, not n = 121: monomial modules take none,
+    separable inners one per variable."""
+    shapes = []
+    real_qr = scipy.linalg.qr
+    monkeypatch.setattr(scipy.linalg, "qr",
+                        lambda a, *args, **kw: shapes.append(np.shape(a)) or real_qr(a, *args, **kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        outcome = runner.run(runner.ExperimentConfig.from_json({**config, "order": [10, 10]}))
+    assert outcome.results[0].data["space_dim"] == 121
+    assert all(rows <= 11 for rows, _ in shapes), shapes
+    assert bool(shapes) == factorised

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from bidiscframes.cli import main
+from bidiscframes.frames import OperatorTriple
 from bidiscframes.runner import (
     CHECK_NAMES,
     ExperimentConfig,
+    RunContext,
     run,
     run_file,
     run_suite,
@@ -328,3 +330,47 @@ def test_equiv_vector_check_reuses_the_run_system(monkeypatch):
     again = run(cfg).results[0]
     assert len(calls) == 1
     assert again.to_json() == base.to_json()
+
+
+def _diagonal_triple():
+    """T1 = T2 = diag(c, 1/c) with seed (1/c, 1): the frame of the seed and
+    its T2-image is well conditioned, but ||T1|| = c makes the rounding of
+    the estimated witness show in its conjugation residual."""
+    c = 1e8
+    t = np.diag([c, 1 / c])
+    return OperatorTriple(T1=t, T2=t, phi=np.array([1 / c, 1.0]))
+
+
+def _nilpotent_triple():
+    """T1 = T2 = c J on C^3 with seed e3, c^4 = 0.7e8: a frame whose moved
+    seed (I + 0.5 T1 T2) e3 is not one at the classification tolerance."""
+    c = 0.7e8 ** 0.25
+    t = c * np.diag([1.0, 1.0], 1)
+    return OperatorTriple(T1=t, T2=t, phi=np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "check,make,horizon,note",
+    [
+        ("similarity", _diagonal_triple, [0, 1], "second witness not certified"),
+        ("equiv-vector", _nilpotent_triple, [1, 1], "frame class not preserved"),
+    ],
+)
+def test_numerical_failure_inside_a_check_is_its_fail(
+        tmp_path, capsys, monkeypatch, check, make, horizon, note):
+    """An uncertified witness (uniqueness_of_L) and a broken invariant
+    (equivalent_frame_report) are that check's FAIL with exit 1, not a
+    config error or a traceback."""
+    triple = make()
+    monkeypatch.setattr(RunContext, "triple", property(lambda self: triple))
+    data = {"order": [1, 1], "horizon": horizon, "checks": [check]}
+    outcome = run(ExperimentConfig.from_json(data))
+    assert outcome.exit_code == 1
+    (result,) = outcome.results
+    assert not result.passed and result.note.startswith(note)
+
+    code = main(["suite", "--config", write_config(tmp_path / "c.json", **data)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"check {check}: FAIL  ({note}" in captured.out
+    assert captured.err == ""

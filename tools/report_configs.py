@@ -1,0 +1,76 @@
+"""Write the standard set of configs for comparing reports across two trees.
+
+    python tools/report_configs.py OUT_DIR
+
+One JSON config per file, all in csv format:
+
+- every catalog fixture with each check alone, with all checks at its
+  default order, and with all checks at order (12, 12);
+- the inner functions z, zw and z2w at orders 3 to 8, with all checks;
+- three larger runs: inner-zw at (16, 16) with seed 7, generated-zw at
+  (20, 20) with build-module and mandrekar, and blaschke-half at (10, 4)
+  with horizon (12, 6).
+
+The codimension check needs an inner recipe, so fixtures without one
+(generated-zw, riesz-model) skip it; every config then runs without a
+config error, and `bdf suite` gets through the whole directory.  Run it
+once per tree and compare the two report directories:
+
+    bdf suite --config OUT_DIR --out A/r      # on the first tree
+    bdf suite --config OUT_DIR --out B/r      # on the second tree
+    python tools/compare_reports.py A B
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+from bidiscframes.fixtures import CATALOG
+from bidiscframes.runner import CHECK_NAMES
+
+LADDER = ("z", "zw", "z2w")
+
+
+def configs() -> dict[str, dict]:
+    """File stem -> config, in a fixed order."""
+    out: dict[str, dict] = {}
+    for fixture in CATALOG:
+        checks = [c for c in CHECK_NAMES if fixture.spec is not None or c != "codimension"]
+        for check in checks:
+            out[f"{fixture.name}.{check}"] = {"fixture": fixture.name, "checks": [check]}
+        out[f"{fixture.name}.all"] = {"fixture": fixture.name, "checks": checks}
+        out[f"{fixture.name}.all-12"] = {"fixture": fixture.name, "order": [12, 12],
+                                         "checks": checks}
+    for inner in LADDER:
+        for n in range(3, 9):
+            out[f"ladder-{inner}-{n}"] = {"inner": inner, "order": [n, n],
+                                          "checks": list(CHECK_NAMES)}
+    out["inner-zw.all-16-seed7"] = {"fixture": "inner-zw", "order": [16, 16], "seed": 7,
+                                    "checks": list(CHECK_NAMES)}
+    out["generated-zw.build-20"] = {"fixture": "generated-zw", "order": [20, 20],
+                                    "checks": ["build-module", "mandrekar"]}
+    out["blaschke-half.horizon-12-6"] = {"fixture": "blaschke-half", "order": [10, 4],
+                                         "horizon": [12, 6], "checks": list(CHECK_NAMES)}
+    for cfg in out.values():
+        cfg["format"] = "csv"
+    return out
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else list(argv)
+    if len(args) != 1:
+        print("usage: report_configs.py OUT_DIR", file=sys.stderr)
+        return 2
+    root = Path(args[0])
+    root.mkdir(parents=True, exist_ok=True)
+    written = configs()
+    for stem, cfg in written.items():
+        (root / f"{stem}.json").write_text(json.dumps(cfg, indent=2) + "\n")
+    print(f"wrote {len(written)} configs to {root}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
