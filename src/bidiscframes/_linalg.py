@@ -4,6 +4,11 @@ Subspaces of the box are handled on their small side where possible: a
 test on a submodule M of dimension n - k works with an orthonormal basis
 of the k-dimensional complement K, so it costs O(n k^2) instead of the
 O(n^3) of n x n projectors and spectral norms.
+
+Arrays keep the dtype of their data: a real input gives a float64
+result, computed in real arithmetic at about a quarter of the complex
+cost, and a complex input a complex128 one.  scipy is imported only for
+the pivoted QR, so a run that factorises nothing never loads it.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .hardy import TruncatedSpace, shift_rows
 
@@ -35,6 +39,8 @@ def _pivoted_qr(a, mode: str):
     Numer. Math. 7, 1965), at about a quarter of the complex cost; q then
     comes back real.
     """
+    import scipy.linalg  # the only use of scipy; loaded on the first QR
+
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
@@ -56,7 +62,7 @@ def orthonormal_columns(a):
     pivot are treated as numerically dependent and dropped.
     """
     q, rank = _pivoted_qr(a, "economic")
-    return q[:, :rank].astype(np.complex128), rank
+    return q[:, :rank], rank
 
 
 def orthonormal_split(a):
@@ -69,7 +75,7 @@ def orthonormal_split(a):
     """
     q, rank = _pivoted_qr(a, "full")
     complement, _ = canonical_basis(q[:, rank:])
-    return q[:, :rank].astype(np.complex128), complement, rank
+    return q[:, :rank], complement, rank
 
 
 def kronecker_split(f1, f2):
@@ -88,8 +94,7 @@ def kronecker_split(f1, f2):
     k0 = np.hstack([np.kron(q1[:, r1:], np.eye(q2.shape[0])),
                     np.kron(q1[:, :r1], q2[:, r2:])])
     complement, _ = canonical_basis(k0)
-    m1, m2 = q1[:, :r1].astype(np.complex128), q2[:, :r2].astype(np.complex128)
-    return m1, m2, complement, r1 * r2
+    return q1[:, :r1], q2[:, :r2], complement, r1 * r2
 
 
 def canonical_basis(k0):
@@ -106,7 +111,7 @@ def canonical_basis(k0):
     pivots are basis-free; then K = k0 Q with Q from the QR of
     k0[c, :]^H, diag(R) > 0.  Cost O(n k^2).
 
-    Returns (K, margin) with K complex128.  margin is the smallest
+    Returns (K, margin), K real when k0 is.  margin is the smallest
     relative gap, over the k steps, between the largest residual and the
     largest one outside its tie window (1.0 when none is outside): a
     perturbation of relative size well below it cannot change a pivot.
@@ -114,7 +119,7 @@ def canonical_basis(k0):
     k0 = np.asarray(k0)
     k = k0.shape[1]
     if k == 0:
-        return k0.astype(np.complex128), 1.0
+        return k0, 1.0
     # row i of k0, conjugated, holds the coordinates of P e_i in the basis
     # k0; its squared residual is downdated by the part along each pivot
     res2 = np.einsum("ij,ij->i", k0, k0.conj()).real
@@ -138,15 +143,19 @@ def canonical_basis(k0):
     q, r = np.linalg.qr(k0[pivots].conj().T)
     d = np.diag(r)
     q *= d / np.abs(d)  # the phases that make diag(R) positive
-    return (k0 @ q).astype(np.complex128), margin
+    return k0 @ q, margin
 
 
 def null_space_onb(a) -> np.ndarray:
-    """Orthonormal basis of the kernel of a (possibly empty) matrix."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=np.complex128)
-    return scipy.linalg.null_space(a, rcond=DEFAULT_RANK_TOL)
+    """Orthonormal basis of the kernel of a (possibly empty) matrix.
+
+    The rule of scipy.linalg.null_space with rcond DEFAULT_RANK_TOL: the
+    right singular vectors of a full SVD whose singular values are at or
+    below DEFAULT_RANK_TOL times the largest.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > s.max(initial=0.0) * DEFAULT_RANK_TOL))
+    return vh[rank:].conj().T
 
 
 def restrict_to_support(q, keep) -> np.ndarray:
@@ -154,7 +163,7 @@ def restrict_to_support(q, keep) -> np.ndarray:
 
     q must have orthonormal columns; keep is a boolean mask over rows.
     """
-    q = np.asarray(q, dtype=np.complex128)
+    q = np.asarray(q)
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != (q.shape[0],):
         raise ValueError("mask length must match row count")
@@ -165,7 +174,7 @@ def restrict_to_support(q, keep) -> np.ndarray:
         return q
     ns = null_space_onb(q[off, :])
     if ns.shape[1] == 0:
-        return np.zeros((q.shape[0], 0), dtype=np.complex128)
+        return np.zeros((q.shape[0], 0), dtype=q.dtype)
     # columns stay orthonormal: q has orthonormal columns and ns is an onb
     return q @ ns
 
@@ -180,7 +189,7 @@ def masked_complement(k_onb, keep):
     blocks then have singular values at most 1, so the rank decision is
     absolute (sigma > DEFAULT_RANK_TOL): pure rounding noise has rank 0.
     """
-    block = np.asarray(k_onb, dtype=np.complex128)[np.asarray(keep, dtype=bool)]
+    block = np.asarray(k_onb)[np.asarray(keep, dtype=bool)]
     u, s, _ = np.linalg.svd(block, full_matrices=False)
     rank = int(np.sum(s > DEFAULT_RANK_TOL))
     return u[:, :rank], block.shape[0] - rank
@@ -202,7 +211,7 @@ def compressed_commutator_residual(k_onb, order, a: str, b: str):
     only, with the shifts applied as index moves: O(n k^2) in all.  M need
     not be shift-invariant.
     """
-    k = np.asarray(k_onb, dtype=np.complex128)
+    k = np.asarray(k_onb)
     deg = dict(zip("zw", TruncatedSpace(order).degree_grid()))
     edge = dict(zip("zw", order))
     keep = (deg[a] < edge[a]) & (deg[b] >= 1)
@@ -224,9 +233,13 @@ def iterate_grid(t1, t2, phi, l1: int, l2: int) -> np.ndarray:
     Filled by the recurrence v[i+1, 0] = T1 v[i, 0], v[i, j+1] = T2 v[i, j],
     so each vector costs one matrix application, and v[i, j] comes out of
     exactly the products that applying T1 i times, then T2 j times, makes.
+    The three inputs are cast once to their common dtype (float64 or
+    complex128), so no step upcasts a real operator to meet a complex
+    vector.
     """
-    phi = np.asarray(phi, dtype=np.complex128)
-    v = np.zeros((l1 + 1, l2 + 1, phi.shape[0]), dtype=np.complex128)
+    dtype = np.result_type(t1, t2, phi, np.float64)
+    t1, t2, phi = (np.asarray(x, dtype=dtype) for x in (t1, t2, phi))
+    v = np.zeros((l1 + 1, l2 + 1, phi.shape[0]), dtype=dtype)
     v[0, 0] = phi
     for i in range(l1):
         v[i + 1, 0] = t1 @ v[i, 0]
@@ -245,8 +258,7 @@ def subspace_distance(q1, q2) -> float:
     projectors (Bjorck & Golub, Math. Comp. 27, 1973).  Each argument
     needs Q Q^H = P: orthonormal columns, or the projector itself.
     """
-    q1 = np.asarray(q1, dtype=np.complex128)
-    q2 = np.asarray(q2, dtype=np.complex128)
+    q1, q2 = np.asarray(q1), np.asarray(q2)
     if q1.shape[1] == 0 and q2.shape[1] == 0:
         return 0.0
     return max(

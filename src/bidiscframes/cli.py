@@ -33,6 +33,9 @@ _CHECK_COMMANDS = {
     "equiv-vector": ("equiv-vector",),
 }
 
+# exit code -> what stopped the run
+_FAILURE = {2: "config error", 3: "guard tripped"}
+
 _CHECK_HELP = {
     "build-module": "build the submodule and quotient, report dimensions",
     "jordan": "sweep the compressed-shift iterate identity over interior degrees",
@@ -103,8 +106,11 @@ def _cmd_suite(args) -> int:
     if path.is_dir():
         worst = 0
         for name, outcome in run_suite(path, **_overrides(args)):
-            verdict = "pass" if outcome.exit_code == 0 else "FAIL"
-            print(f"{name}: {verdict}")
+            if outcome.error:
+                print(f"{name}: {_FAILURE[outcome.exit_code]}: {outcome.error}",
+                      file=sys.stderr)
+            else:
+                print(f"{name}: {'pass' if outcome.exit_code == 0 else 'FAIL'}")
             worst = max(worst, outcome.exit_code)
         return worst
     cfg = ExperimentConfig.from_file(path, **_overrides(args))
@@ -122,10 +128,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GuardError as exc:
-        print(f"guard tripped: {exc}", file=sys.stderr)
+        print(f"{_FAILURE[3]}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"{_FAILURE[2]}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -90,7 +90,7 @@ def adjoint_decay(triple: OperatorTriple, f, horizon) -> OrbitTrace:
     the horizon passes the truncation scale (exactly zero past the
     nilpotency index for the compressed-shift models).
     """
-    f = np.asarray(f, dtype=np.complex128).reshape(-1)
+    f = np.asarray(f).reshape(-1)
     if f.shape[0] != triple.dim:
         raise ValueError("vector length does not match operator dimension")
     norms = _orbit_norms(triple.T1.conj().T, triple.T2.conj().T, f, horizon)
@@ -106,7 +106,7 @@ def conjecture_probe(triple: OperatorTriple, f, horizon,
     warns and records anyway.  The output never claims a limit: the
     question whether forward orbits must vanish is open.
     """
-    f = np.asarray(f, dtype=np.complex128).reshape(-1)
+    f = np.asarray(f).reshape(-1)
     if f.shape[0] != triple.dim:
         raise ValueError("vector length does not match operator dimension")
     if kernel_verdict is not True:
@@ -125,7 +125,7 @@ def conjecture_probe(triple: OperatorTriple, f, horizon,
 def partial_energy(sys: IterateSystem, f, start=(0, 0)) -> float:
     """sum |<iterate(i,j), f>|^2 over the horizon box with (i, j) >= start
     componentwise."""
-    f = np.asarray(f, dtype=np.complex128).reshape(-1)
+    f = np.asarray(f).reshape(-1)
     m1, m2 = int(start[0]), int(start[1])
     if m1 < 0 or m2 < 0:
         raise ValueError(f"start {(m1, m2)} must be nonnegative")
@@ -151,7 +151,7 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
     system's cached frame report and factorisation are reused.
     """
     triple = base.triple
-    v = np.asarray(v, dtype=np.complex128)
+    v = np.asarray(v)
     if v.shape != (triple.dim, triple.dim):
         raise ValueError(f"map shape {v.shape} does not match dim {triple.dim}")
     c1 = opnorm(v @ triple.T1 - triple.T1 @ v)

@@ -89,8 +89,12 @@ def _dim_limit() -> int:
 class OperatorTriple:
     """A commuting pair of operators with a distinguished seed vector.
 
-    Arrays are not copied; treat them as read-only.  Construction fails
-    unless the pair commutes to 1e-10 in spectral norm.
+    The three arrays are cast to their common dtype: float64 when all are
+    real (the compressed shifts of a module with real coefficients), so
+    every iterate system built on the triple runs in real arithmetic, and
+    complex128 as soon as one is complex.  Arrays already of that dtype
+    are not copied; treat them as read-only.  Construction fails unless
+    the pair commutes to 1e-10 in spectral norm.
     """
 
     T1: np.ndarray
@@ -100,9 +104,10 @@ class OperatorTriple:
     comm_residual: float = field(init=False)
 
     def __post_init__(self):
-        t1 = np.asarray(self.T1, dtype=np.complex128)
-        t2 = np.asarray(self.T2, dtype=np.complex128)
-        phi = np.asarray(self.phi, dtype=np.complex128).reshape(-1)
+        dtype = np.result_type(self.T1, self.T2, self.phi, np.float64)
+        t1 = np.asarray(self.T1, dtype=dtype)
+        t2 = np.asarray(self.T2, dtype=dtype)
+        phi = np.asarray(self.phi, dtype=dtype).reshape(-1)
         n = phi.shape[0]
         if t1.shape != (n, n) or t2.shape != (n, n):
             raise ValueError(

@@ -218,11 +218,10 @@ def recover_model(sys: IterateSystem) -> ModelRecovery:
     w = sys.synthesis @ k_onb
     cond_w = float(svals[0] / svals[rank - 1]) if rank else np.inf
 
-    box = sys.box_space
     jordan_z = k_onb.conj().T @ shift_rows(k_onb, sys.horizon, "z")
     jordan_w = k_onb.conj().T @ shift_rows(k_onb, sys.horizon, "w")
 
-    ideg, jdeg = box.degree_grid()
+    ideg, jdeg = sys.box_space.degree_grid()
     l1, l2 = sys.horizon
 
     def _residual(t, jordan, keep):
@@ -235,7 +234,7 @@ def recover_model(sys: IterateSystem) -> ModelRecovery:
     res_z = _residual(sys.triple.T1, jordan_z, ideg <= l1 - 1)
     res_w = _residual(sys.triple.T2, jordan_w, jdeg <= l2 - 1)
 
-    seed_coords = k_onb.conj().T @ box.basis_vector(0, 0)
+    seed_coords = k_onb[0].conj()  # K^H e_(0,0)
     res_phi = float(np.linalg.norm(w @ seed_coords - sys.triple.phi))
 
     return ModelRecovery(

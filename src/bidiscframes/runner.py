@@ -292,6 +292,7 @@ class RunOutcome:
     exit_code: int
     results: list[CheckResult]
     files: list[str] = field(default_factory=list)
+    error: str = ""  # why a suite config did not run (exit 2 or 3)
 
     @property
     def summary_lines(self) -> list[str]:
@@ -602,7 +603,7 @@ def _check_probe(ctx: RunContext) -> CheckResult:
 
 def _check_equiv_vector(ctx: RunContext) -> CheckResult:
     t = ctx.triple
-    v = np.eye(t.dim, dtype=np.complex128) + 0.5 * (t.T1 @ t.T2)
+    v = np.eye(t.dim, dtype=t.T1.dtype) + 0.5 * (t.T1 @ t.T2)
     base = frame_bounds(ctx.system)
     moved = equivalent_frame_report(ctx.system, v)
     passed = base.classification == moved.classification
@@ -724,7 +725,9 @@ def run_suite(directory, **overrides) -> list[tuple[str, RunOutcome]]:
     """Run every *.json config in a directory, in sorted order.
 
     An output override becomes a per-config prefix so reports from
-    different configs never collide.
+    different configs never collide.  A config that raises is recorded
+    and the suite goes on: a ValueError as exit 2, a GuardError as exit
+    3, with the message as the outcome's error and no results.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -737,5 +740,11 @@ def run_suite(directory, **overrides) -> list[tuple[str, RunOutcome]]:
         per = dict(overrides)
         if per.get("output"):
             per["output"] = f"{per['output']}.{path.stem}"
-        results.append((str(path), run_file(path, **per)))
+        try:
+            outcome = run_file(path, **per)
+        except GuardError as exc:
+            outcome = RunOutcome(exit_code=3, results=[], error=str(exc))
+        except ValueError as exc:
+            outcome = RunOutcome(exit_code=2, results=[], error=str(exc))
+        results.append((str(path), outcome))
     return results

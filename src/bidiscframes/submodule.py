@@ -34,6 +34,12 @@ n x n orthogonal projector is built on demand, only when read.  The
 double-commutation test also works from the complement, so nothing
 costs more than O(n k^2) for a quotient of dimension k, besides the
 dense QR of multi-term generators.
+
+Every array here follows the dtype of the module's coefficients: for an
+inner function or generators with real coefficients (every catalog
+fixture, monomials, Blaschke factors with real zeros) the bases, the
+compressed shifts and the seed are float64, and the whole chain after
+them runs in real arithmetic.  Export files are complex128 either way.
 """
 
 from __future__ import annotations
@@ -103,7 +109,7 @@ class SubmoduleModel:
     def onb(self) -> np.ndarray:
         """Orthonormal basis of the subspace (n x rank), built on first read."""
         if self.onb_rows is not None:
-            onb = np.zeros((self.space.dim, self.rank), dtype=np.complex128)
+            onb = np.zeros((self.space.dim, self.rank))
             onb[self.onb_rows, np.arange(self.rank)] = 1.0
             return onb
         return np.kron(*self.onb_factors)
@@ -232,7 +238,7 @@ def _split(gens: Sequence[BidiscPoly], space: TruncatedSpace, axis_factors=None)
             (a, b), = g.coeffs
             inside |= (i >= a) & (j >= b)
         missing = np.flatnonzero(~inside)
-        complement = np.zeros((space.dim, missing.size), dtype=np.complex128)
+        complement = np.zeros((space.dim, missing.size))
         complement[missing, np.arange(missing.size)] = 1.0
         rows = np.flatnonzero(inside)
         return complement, rows.size, {"onb_rows": rows}
@@ -327,7 +333,9 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
 
     jordan_z = onb_k.conj().T @ shift_rows(onb_k, space.order, "z")
     jordan_w = onb_k.conj().T @ shift_rows(onb_k, space.order, "w")
-    seed = onb_k.conj().T @ space.basis_vector(0, 0)
+    # K^H e_(0,0), the compression of the constant 1, bit for bit: + 0.0
+    # turns the -0.0 that conj leaves into the +0.0 of that product
+    seed = onb_k[0].conj() + 0.0
 
     comm = opnorm(jordan_z @ jordan_w - jordan_w @ jordan_z)
     if comm > 1e-10:

@@ -14,16 +14,23 @@ only, as the yardstick: verdicts and counts must agree exactly,
 residuals to 1e-12.  The structured submodules (coordinate vectors for
 monomials, one-variable factorisations for separable inners) are also
 pinned to the package's own dense path, orthonormal_split of the
-spanning family, which multi-term generators still take.
+spanning family, which multi-term generators still take.  The last
+section pins the dtype contract: a real module's chain is float64 from
+end to end and agrees with the same quotient cast to complex128.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import bidiscframes
 from bidiscframes import runner
 from bidiscframes._linalg import (
     canonical_basis,
@@ -46,7 +53,7 @@ from bidiscframes.frames import (
 )
 from bidiscframes.hardy import BidiscPoly, make_space, shift_matrix, shift_rows
 from bidiscframes.inner import InnerSpec, build_inner
-from bidiscframes.models import recover_model
+from bidiscframes.models import random_similarity, recover_model, transport, triple_from_quotient
 from bidiscframes.submodule import (
     COMMUTE_TOL,
     _spanning_family,
@@ -339,13 +346,25 @@ def assert_factorisation_matches(sys):
         assert getattr(rec, key) == pytest.approx(ref[key], abs=TOL)
 
 
+def module_dtype(sub):
+    """The dtype of the module's arrays: float64 when every coefficient
+    of its inner function or generators is real, or when all of them are
+    monomials (whose span a complex coefficient does not change), else
+    complex128."""
+    gens = (sub.inner.poly,) if sub.kind == "beurling" else sub.generators
+    real = all(len(g.coeffs) == 1 for g in gens) or all(
+        c.imag == 0 for g in gens for c in g.coeffs.values()
+    )
+    return np.dtype(np.float64 if real else np.complex128)
+
+
 def assert_complement_is_canonical(sub, rng):
     """The complement is the reference complement in canonical form, and
     that form does not move when the input basis is rotated."""
     rank, ref = ref_complement(sub)
     k = sub.complement
     assert sub.rank == rank
-    assert k.shape == ref.shape and k.dtype == np.complex128
+    assert k.shape == ref.shape and k.dtype == module_dtype(sub)
     assert np.abs(k - canonical_basis(ref)[0]).max(initial=0.0) <= TOL
     dim = k.shape[1]
     u = np.linalg.qr(rng.standard_normal((dim, dim))
@@ -605,7 +624,7 @@ def test_monomial_complement_is_sorted_coordinate_vectors(make, order):
     for g in gens:
         (p, q), = g.coeffs
         inside |= (i >= p) & (j >= q)
-    expected = np.eye(space.dim, dtype=np.complex128)[:, ~inside]
+    expected = np.eye(space.dim)[:, ~inside]
     assert sub.complement.tobytes() == expected.tobytes()
     assert sub.complement.shape == expected.shape
 
@@ -758,3 +777,149 @@ def test_no_factorisation_sees_an_n_row_matrix(monkeypatch, config, factorised):
     assert outcome.results[0].data["space_dim"] == 121
     assert all(rows <= 11 for rows, _ in shapes), shapes
     assert bool(shapes) == factorised
+
+
+SCIPY_PROBE = """
+import sys, warnings
+import bidiscframes
+from bidiscframes import runner
+loaded = ["scipy.linalg" in sys.modules]
+warnings.simplefilter("ignore")
+for config in ({"fixture": "inner-zw", "checks": list(runner.CHECK_NAMES)},
+               {"fixture": "blaschke-half", "checks": ["build-module"]}):
+    runner.run(runner.ExperimentConfig.from_json(config))
+    loaded.append("scipy.linalg" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_loads_only_for_a_pivoted_qr():
+    """A fresh process imports the package and runs every check on
+    inner-zw without loading scipy; the first separable inner, which
+    takes one pivoted QR per variable, loads it."""
+    src = str(Path(bidiscframes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, True]"
+
+
+# --- real arithmetic for real modules -------------------------------------
+
+
+COMPLEX_SPEC = InnerSpec.blaschke_z([0.3 + 0.4j])
+
+
+def chain_arrays(quot, triple, system):
+    """name -> array for every public array of a chain."""
+    arrays = {"complement": quot.parent.complement, "onb": quot.parent.onb,
+              "onb_k": quot.onb_k, "jordan_z": quot.jordan_z,
+              "jordan_w": quot.jordan_w, "seed": quot.seed}
+    if triple is not None:
+        arrays.update(T1=triple.T1, T2=triple.T2, phi=triple.phi)
+    if system is not None:
+        arrays.update(vectors=system.vectors, synthesis=system.synthesis,
+                      **dict(zip(("svd_u", "svd_s", "svd_vh"), system.svd)))
+    return arrays
+
+
+@pytest.mark.parametrize("fixture", CATALOG, ids=[f.name for f in CATALOG])
+def test_catalog_chains_are_real(fixture):
+    """Every catalog fixture has real coefficients, so its whole chain is
+    float64; the singular values are float64 in any case."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chain = build_chain(fixture)
+    arrays = chain_arrays(chain.quotient, chain.triple, chain.system)
+    assert (chain.system is None) == (fixture.name == "blaschke-product")
+    assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float64)
+
+
+def test_complex_zeros_make_the_chain_complex():
+    """A complex Blaschke zero makes the chain complex128 from the
+    complement on; a random similarity makes a real triple complex.  The
+    seed is K^H e_(0,0) bit for bit, signed zeros included, so exported
+    quotients keep their bytes."""
+    space = make_space((8, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quot = quotient(beurling_submodule(build_inner(COMPLEX_SPEC, space.order), space))
+    direct = quot.onb_k.conj().T @ space.basis_vector(0, 0)
+    assert quot.seed.tobytes() == direct.tobytes()
+    triple = triple_from_quotient(quot)
+    arrays = chain_arrays(quot, triple, iterate(triple, space.order))
+    expected = {name: np.complex128 for name in arrays}
+    expected["svd_s"] = np.float64
+    assert {name: a.dtype for name, a in arrays.items()} == expected
+
+    real = build_chain(next(f for f in CATALOG if f.name == "inner-zw")).triple
+    moved, _ = transport(real, random_similarity(real.dim, np.random.default_rng(3)))
+    assert moved.T1.dtype == moved.T2.dtype == moved.phi.dtype == np.complex128
+    assert iterate(moved, (6, 6)).synthesis.dtype == np.complex128
+
+
+def chain_results(sub, quot, horizon):
+    """(exact, floats) of the checks that run on a quotient: counts,
+    verdicts, classifications and failed preconditions in the first,
+    residuals in the second."""
+    exact, floats = {}, {}
+
+    def record(name, call, keys=()):
+        try:
+            rep = call()
+        except PreconditionError as exc:
+            exact[name] = str(exc)
+            return None
+        for key in keys:
+            value = getattr(rep, key)
+            (floats if isinstance(value, float) else exact)[f"{name}.{key}"] = value
+        return rep
+
+    record("mandrekar", lambda: doubly_commute_test(sub),
+           ("residual_interior", "verdict", "residual_z", "residual_w",
+            "n_interior_z", "n_interior_w"))
+    triple = record("triple", lambda: OperatorTriple(
+        T1=quot.jordan_z, T2=quot.jordan_w, phi=quot.seed))
+    if triple is None:
+        return exact, floats
+    sys = iterate(triple, horizon)
+    rep = record("frame", lambda: frame_bounds(sys),
+                 ("lower", "upper", "classification", "kernel_dim"))
+    floats["frame.bound_trace"] = np.array(rep.bound_trace)
+    record("invariance", lambda: kernel_shift_invariance(sys),
+           ("residual", "vacuous", "inconclusive", "n_checked"))
+    record("commutes", lambda: kernel_doubly_commutes(sys),
+           ("residual", "verdict", "vacuous", "inconclusive",
+            "residual_z", "residual_w", "n_checked"))
+    record("recover", lambda: recover_model(sys),
+           ("k_dim", "intertwine_residual_z", "intertwine_residual_w",
+            "residual_phi", "cond_W"))
+    return exact, floats
+
+
+@pytest.mark.parametrize(
+    "fixture,order", CATALOG_CASES,
+    ids=[f"{f.name}-{o or 'default'}" for f, o in CATALOG_CASES],
+)
+def test_real_chain_matches_its_complex_cast(fixture, order):
+    """The real chain and the same quotient cast to complex128 give the
+    same counts, verdicts and classifications, and residuals within TOL."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sub = fixture.make_submodule(make_space(order or fixture.order))
+        quot = quotient(sub)
+    csub = dataclasses.replace(sub, complement=sub.complement.astype(np.complex128))
+    cquot = dataclasses.replace(
+        quot, parent=csub, onb_k=csub.complement,
+        **{key: getattr(quot, key).astype(np.complex128)
+           for key in ("jordan_z", "jordan_w", "seed")},
+    )
+    horizon = sub.space.order
+    real_exact, real_floats = chain_results(sub, quot, horizon)
+    cast_exact, cast_floats = chain_results(csub, cquot, horizon)
+    assert cast_exact == real_exact
+    assert cast_floats.keys() == real_floats.keys()
+    for key, value in real_floats.items():
+        np.testing.assert_allclose(cast_floats[key], value, rtol=0, atol=TOL, err_msg=key)

@@ -316,6 +316,36 @@ def test_cli_suite_directory(tmp_path, capsys):
     assert out.count(": pass") == 2
 
 
+def test_suite_goes_on_past_a_bad_config(tmp_path, capsys):
+    """A config error is that config's exit 2 and a tripped guard its exit
+    3; the configs after it still run and write their reports, and the
+    command exits with the worst code."""
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    write_config(configs / "a.json", fixture="generated-zw", checks=["codimension"])
+    write_config(configs / "b.json", order=[3, 3], inner="zw", checks=["build-module"])
+    prefix = tmp_path / "out" / "r"
+    results = run_suite(configs, output=str(prefix))
+    assert [(name, out.exit_code) for name, out in results] == [
+        (str(configs / "a.json"), 2), (str(configs / "b.json"), 0),
+    ]
+    assert results[0][1].error == "codimension check requires an inner recipe"
+    assert results[0][1].results == [] and results[1][1].error == ""
+    assert (tmp_path / "out" / "r.b.summary.json").exists()
+
+    assert main(["suite", "--config", str(configs), "--out", str(prefix)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"{configs / 'a.json'}: config error: "
+                            "codimension check requires an inner recipe\n")
+    assert captured.out.startswith(f"{configs / 'b.json'}: pass\n")
+
+    # dimension 51 * 51 = 2601 trips the desk guard of 2000
+    write_config(configs / "c.json", order=[50, 50], inner="zw", checks=["build-module"])
+    assert main(["suite", "--config", str(configs)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[1].startswith(f"{configs / 'c.json'}: guard tripped: ")
+
+
 def test_equiv_vector_check_reuses_the_run_system(monkeypatch):
     """The check iterates only the moved seed; the base system is the
     run's own, with its cached frame report."""

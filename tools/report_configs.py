@@ -9,7 +9,10 @@ One JSON config per file, all in csv format:
 - the inner functions z, zw and z2w at orders 3 to 8, with all checks;
 - three larger runs: inner-zw at (16, 16) with seed 7, generated-zw at
   (20, 20) with build-module and mandrekar, and blaschke-half at (10, 4)
-  with horizon (12, 6).
+  with horizon (12, 6);
+- a z-Blaschke factor with the complex zero 0.3 + 0.4i, with all checks
+  at (8, 8), (10, 4) and (12, 12): the one module of the set whose
+  chain runs in complex arithmetic (every catalog fixture is real).
 
 The codimension check needs an inner recipe, so fixtures without one
 (generated-zw, riesz-model) skip it; every config then runs without a
@@ -31,6 +34,7 @@ from bidiscframes.fixtures import CATALOG
 from bidiscframes.runner import CHECK_NAMES
 
 LADDER = ("z", "zw", "z2w")
+COMPLEX_ZERO = {"kind": "blaschke_z", "zeros": [[0.3, 0.4]]}
 
 
 def configs() -> dict[str, dict]:
@@ -53,6 +57,9 @@ def configs() -> dict[str, dict]:
                                     "checks": ["build-module", "mandrekar"]}
     out["blaschke-half.horizon-12-6"] = {"fixture": "blaschke-half", "order": [10, 4],
                                          "horizon": [12, 6], "checks": list(CHECK_NAMES)}
+    for order in ([8, 8], [10, 4], [12, 12]):
+        out["blaschke-complex.all-{}-{}".format(*order)] = {
+            "inner": COMPLEX_ZERO, "order": order, "checks": list(CHECK_NAMES)}
     for cfg in out.values():
         cfg["format"] = "csv"
     return out
