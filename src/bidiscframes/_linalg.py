@@ -3,7 +3,8 @@
 Subspaces of the box are handled on their small side where possible: a
 test on a submodule M of dimension n - k works with an orthonormal basis
 of the k-dimensional complement K, so it costs O(n k^2) instead of the
-O(n^3) of n x n projectors and spectral norms.
+O(n^3) of n x n projectors and spectral norms.  A spectral norm itself
+is taken from the Gram matrix on the smaller side, with no SVD.
 
 Arrays keep the dtype of their data: a real input gives a float64
 result, computed in real arithmetic at about a quarter of the complex
@@ -24,11 +25,27 @@ PIVOT_TIE = 1e-8
 
 
 def opnorm(a) -> float:
-    """Spectral norm; 0.0 for empty matrices."""
+    """Spectral norm; 0.0 for empty matrices.
+
+    The square root of the largest eigenvalue of the Gram matrix on the
+    smaller side, A^H A or A A^H, by eigvalsh: O(m n min(m, n)) with no
+    SVD.  A matrix whose largest |entry| lies outside [1e-100, 1e100] is
+    first divided by that entry, so its Gram neither underflows nor
+    overflows.  NaN entries raise LinAlgError, as the SVD does.
+    """
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    top = float(np.abs(a).max())
+    if math.isnan(top):
+        raise np.linalg.LinAlgError("spectral norm of a matrix with NaN entries")
+    if top == 0.0:
+        return 0.0
+    scale = 1.0
+    if not 1e-100 <= top <= 1e100:
+        a, scale = a / top, top
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    return scale * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def _pivoted_qr(a, mode: str):
@@ -230,22 +247,21 @@ def iterate_grid(t1, t2, phi, l1: int, l2: int) -> np.ndarray:
     """The iterates v[i, j] = T2^j T1^i phi for i <= l1, j <= l2, as an
     (l1+1, l2+1, dim) array.
 
-    Filled by the recurrence v[i+1, 0] = T1 v[i, 0], v[i, j+1] = T2 v[i, j],
-    so each vector costs one matrix application, and v[i, j] comes out of
-    exactly the products that applying T1 i times, then T2 j times, makes.
-    The three inputs are cast once to their common dtype (float64 or
-    complex128), so no step upcasts a real operator to meet a complex
-    vector.
+    The first column comes from the recurrence v[i+1, 0] = T1 v[i, 0],
+    one matrix-vector product per vector; each later column is one
+    matrix product of the whole column before it, v[:, j+1] = v[:, j] T2^T,
+    so the grid costs l1 + l2 products in all.  The three inputs are cast
+    once to their common dtype (float64 or complex128), so no step
+    upcasts a real operator to meet a complex vector.
     """
     dtype = np.result_type(t1, t2, phi, np.float64)
     t1, t2, phi = (np.asarray(x, dtype=dtype) for x in (t1, t2, phi))
-    v = np.zeros((l1 + 1, l2 + 1, phi.shape[0]), dtype=dtype)
+    v = np.empty((l1 + 1, l2 + 1, phi.shape[0]), dtype=dtype)
     v[0, 0] = phi
     for i in range(l1):
         v[i + 1, 0] = t1 @ v[i, 0]
-    for i in range(l1 + 1):
-        for j in range(l2):
-            v[i, j + 1] = t2 @ v[i, j]
+    for j in range(l2):
+        v[:, j + 1] = v[:, j] @ t2.T
     return v
 
 

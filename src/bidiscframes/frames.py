@@ -2,8 +2,9 @@
 
 The iterate family {T1^i T2^j phi : (i, j) inside a horizon box} is
 collected into a synthesis matrix whose columns follow the same
-row-major enumeration as the degree boxes.  Frame bounds come from the
-spectrum of the partial frame operator; the kernel of the synthesis
+row-major enumeration as the degree boxes.  Frame bounds are the
+extreme eigenvalues of the partial frame operator U U^H, read off the
+singular values of the synthesis matrix U; the kernel of the synthesis
 matrix is the space of coefficient relations among the iterates, and
 two structural tests probe it: invariance under the coordinate shifts
 of the horizon box, and double commutation of their compressions.  Both
@@ -11,14 +12,17 @@ work from the row space, the kernel's complement, whose dimension is at
 most the operator dimension.
 
 Each system factorises its synthesis matrix once: one thin SVD, cached
-on the system, gives the rank, the kernel dimension and the row space,
-and the frame report is cached beside it.  iterate() marks the arrays
-read-only, so neither cache can go stale.
+on the system, gives the frame bounds, the rank, the kernel dimension
+and the row space.  The bound trace over square sub-horizons is built
+only when read, on the smaller side of each corner, and cached beside
+the SVD.  iterate() marks the arrays read-only, so no cache can go
+stale.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -128,9 +132,10 @@ class IterateSystem:
     """All iterates of the seed inside a horizon box, plus their synthesis
     matrix (dim x n_columns, columns in row-major horizon order).
 
-    The thin SVD of the synthesis matrix and the frame report are
-    computed on first use and cached on the system; iterate() makes both
-    arrays read-only so the caches stay valid.
+    The thin SVD of the synthesis matrix and the bound trace are computed
+    on first use and cached on the system.  The frame report reads its
+    bounds off the SVD, so a report whose trace nobody reads never builds
+    it.  iterate() makes both arrays read-only so the caches stay valid.
     """
 
     triple: OperatorTriple
@@ -172,19 +177,48 @@ class IterateSystem:
         return int(np.sum(s > KERNEL_RTOL * smax)) if smax > 0.0 else 0
 
     @cached_property
-    def _frame_report(self) -> "FrameReport":
-        """The report frame_bounds returns, built on first read."""
+    def bound_trace(self) -> tuple:
+        """((h, lower, upper), ...): the extreme eigenvalues of the frame
+        operator of each square corner i, j <= h of the horizon box, built
+        on first read.
+
+        The corner operator is accumulated rim by rim, so each iterate
+        enters it once.  A corner of m = (h+1)^2 < dim iterates has a
+        singular frame operator: its lower bound is 0, and its upper bound
+        is the largest eigenvalue of the m x m Gram of its iterates.
+        """
         dim = self.triple.dim
+        gram = np.zeros((dim, dim), dtype=self.vectors.dtype)
         trace = []
         for h in range(min(self.horizon) + 1):
-            # iterates (i, j) with i, j <= h, as rows in row-major order
-            block = self.vectors[: h + 1, : h + 1].reshape(-1, dim)
-            lo, hi = hermitian_extremes(block.T @ block.conj())
+            # iterates of corner h outside corner h - 1, as rows
+            rim = np.concatenate([self.vectors[h, : h + 1], self.vectors[:h, h]])
+            gram += rim.T @ rim.conj()
+            if (h + 1) ** 2 < dim:
+                block = self.vectors[: h + 1, : h + 1].reshape(-1, dim)
+                lo, hi = 0.0, hermitian_extremes(block.conj() @ block.T)[1]
+            else:
+                lo, hi = hermitian_extremes(gram)
             trace.append((h, max(lo, 0.0), max(hi, 0.0)))
+        return tuple(trace)
 
-        u = self.synthesis
-        lower, upper = hermitian_extremes(u @ u.conj().T)
-        lower, upper = max(lower, 0.0), max(upper, 0.0)
+    @property
+    def _frame_report(self) -> "FrameReport":
+        """The report frame_bounds returns, shared while anyone holds it.
+
+        The report holds the system, whose trace it reads through, so the
+        system keeps only a weak reference back: a strong one would make a
+        cycle that keeps every system and its SVD alive until a full
+        garbage collection.  A rebuilt report costs O(dim), since the
+        frame operator U U^H has the squared singular values of U as its
+        nonzero eigenvalues; with fewer than dim of them it is singular.
+        """
+        report = self.__dict__.get("_report", lambda: None)()
+        if report is not None:
+            return report
+        s = self.svd[1]
+        upper = float(s[0]) ** 2 if s.size else 0.0
+        lower = float(s[-1]) ** 2 if s.size == self.triple.dim else 0.0
         kernel_dim = self.ncols - self.rank()
 
         if upper <= 0.0 or lower <= CLASS_RTOL * upper:
@@ -200,25 +234,37 @@ class IterateSystem:
         else:
             classification = "frame"
 
-        return FrameReport(
+        report = FrameReport(
             lower=lower,
             upper=upper,
             classification=classification,
             kernel_dim=kernel_dim,
-            bound_trace=tuple(trace),
+            system=self,
         )
+        self.__dict__["_report"] = weakref.ref(report)
+        return report
 
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Spectral summary of a (partial) frame operator."""
+    """Spectral summary of a (partial) frame operator.
+
+    bound_trace reads through to the system's trace, so a report whose
+    trace nobody reads never builds it.
+    """
 
     lower: float
     upper: float
     classification: str  # not_frame | frame | parseval | minimal_frame
     kernel_dim: int
-    bound_trace: tuple  # ((h, lower, upper), ...) over square sub-horizons
+    system: IterateSystem = field(compare=False, repr=False)
     rtol: ClassVar[float] = CLASS_RTOL
+
+    @property
+    def bound_trace(self) -> tuple:
+        """((h, lower, upper), ...) over square sub-horizons; see
+        IterateSystem.bound_trace."""
+        return self.system.bound_trace
 
     @property
     def is_frame(self) -> bool:
@@ -259,10 +305,10 @@ class KernelCommuteReport:
 def iterate(triple: OperatorTriple, horizon) -> IterateSystem:
     """Build every iterate T1^i T2^j phi for (i, j) in the horizon box.
 
-    Each vector costs one matrix application (see iterate_grid).  Both
-    arrays of the result are read-only.  Refuses to run past desk scale:
-    operator dimension >= BDF_MAX_DIM (default 2000) or horizon boxes with
-    1e5 or more columns.
+    The grid is built a column at a time, one matrix product per column
+    (see iterate_grid).  Both arrays of the result are read-only.
+    Refuses to run past desk scale: operator dimension >= BDF_MAX_DIM
+    (default 2000) or horizon boxes with 1e5 or more columns.
     """
     horizon = _as_degree(horizon)
     l1, l2 = horizon
@@ -304,14 +350,19 @@ def frame_bounds(sys: IterateSystem) -> FrameReport:
     """Extreme eigenvalues of the partial frame operator, with a trace
     over square sub-horizons and a four-way classification.
 
+    The bounds are the squared extreme singular values of the system's
+    cached SVD (lower 0 when there are fewer than dim of them); the
+    trace is built on the first read of report.bound_trace (see
+    IterateSystem.bound_trace).
+
     Classification precedence: not_frame (lower bound below rtol times
     the upper), else minimal_frame when the synthesis kernel is trivial,
     else parseval when the frame operator is the identity to rtol, else
     frame.  Bound-trace entries are nondecreasing in the horizon because
     partial frame operators grow in the positive-semidefinite order.
 
-    The report is built once per system and cached on it: repeated calls
-    return the same object.
+    Repeated calls return the same object for as long as one caller holds
+    it; the bounds are read off the system's cached SVD.
     """
     return sys._frame_report
 

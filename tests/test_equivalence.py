@@ -16,14 +16,19 @@ monomials, one-variable factorisations for separable inners) are also
 pinned to the package's own dense path, orthonormal_split of the
 spanning family, which multi-term generators still take.  The last
 section pins the dtype contract: a real module's chain is float64 from
-end to end and agrees with the same quotient cast to complex128.
+end to end and agrees with the same quotient cast to complex128.  The
+last section pins the small-side spectral steps: opnorm from a Gram
+matrix against the SVD norm, the column-at-a-time iterate grid against
+one recurrence per vector, and the bound trace, built only when read.
 """
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +39,7 @@ import bidiscframes
 from bidiscframes import runner
 from bidiscframes._linalg import (
     canonical_basis,
+    iterate_grid,
     opnorm,
     orthonormal_split,
     subspace_distance,
@@ -923,3 +929,109 @@ def test_real_chain_matches_its_complex_cast(fixture, order):
     assert cast_floats.keys() == real_floats.keys()
     for key, value in real_floats.items():
         np.testing.assert_allclose(cast_floats[key], value, rtol=0, atol=TOL, err_msg=key)
+
+
+# --- spectral norms, iterate grids and the lazy bound trace ----------------
+
+
+def _random_matrix(rng, shape, complex_):
+    a = rng.standard_normal(shape)
+    return a + 1j * rng.standard_normal(shape) if complex_ else a
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(40, 7), (7, 40), (12, 12)],
+                         ids=["tall", "wide", "square"])
+def test_opnorm_matches_the_svd_norm(shape, complex_, scale):
+    """The Gram route agrees with the SVD to 1e-13 relative, rank-1
+    matrices and entries far outside the Gram's safe range included."""
+    rng = np.random.default_rng(31)
+    a = _random_matrix(rng, shape, complex_)
+    rank1 = np.outer(a[:, 0], a[0].conj())
+    for m in (a * scale, rank1 * scale):
+        assert opnorm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0.0)
+
+
+def test_opnorm_of_zero_empty_and_nan_matrices():
+    for shape in [(5, 3), (3, 5), (0, 3), (4, 0), (0, 0)]:
+        assert opnorm(np.zeros(shape)) == 0.0
+        assert opnorm(np.zeros(shape, dtype=np.complex128)) == 0.0
+    a = np.ones((4, 3))
+    a[2, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        opnorm(a)
+
+
+def ref_iterate_grid(t1, t2, phi, l1, l2):
+    """Each iterate from its own recurrence: T1 applied i times to phi,
+    then T2 j times, one vector at a time."""
+    v = np.zeros((l1 + 1, l2 + 1, len(phi)), dtype=np.result_type(t1, t2, phi))
+    for i in range(l1 + 1):
+        for j in range(l2 + 1):
+            x = phi
+            for _ in range(i):
+                x = t1 @ x
+            for _ in range(j):
+                x = t2 @ x
+            v[i, j] = x
+    return v
+
+
+@pytest.mark.parametrize("horizon", [(0, 7), (7, 0), (9, 5)])
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_iterate_grid_matches_the_per_vector_recurrence(kind, horizon):
+    """Block products give every iterate to 1e-13 relative, in the
+    common dtype of the inputs (mixed: real operators, complex seed)."""
+    rng = np.random.default_rng(47)
+    dim = 6
+    a = _random_matrix(rng, (dim, dim), kind == "complex")
+    a /= np.linalg.norm(a, 2)
+    t1 = 0.6 * np.eye(dim) + 0.3 * a
+    t2 = 0.5 * np.eye(dim) - 0.2 * a + 0.2 * a @ a
+    phi = _random_matrix(rng, dim, kind != "real")
+    got = iterate_grid(t1, t2, phi, *horizon)
+    ref = ref_iterate_grid(t1, t2, phi, *horizon)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    err = np.linalg.norm(got - ref, axis=-1)
+    assert np.all(err <= 1e-13 * np.linalg.norm(ref, axis=-1))
+
+
+@pytest.mark.parametrize("reader", [None, "frame-bounds", "parseval"])
+def test_bound_trace_is_built_only_when_read(monkeypatch, reader):
+    """similarity, equiv-vector and recover read the bounds of their
+    systems, never the trace: no moved system builds one, and the run's
+    own system builds it only for frame-bounds or parseval."""
+    from bidiscframes import dynamics
+
+    moved = []
+
+    def spy(iterate_fn):
+        return lambda *args: moved.append(iterate_fn(*args)) or moved[-1]
+
+    monkeypatch.setattr(runner, "iterate", spy(runner.iterate))
+    monkeypatch.setattr(dynamics, "iterate", spy(dynamics.iterate))
+    checks = ["similarity", "equiv-vector", "recover"] + ([reader] if reader else [])
+    ctx = runner.RunContext(runner.ExperimentConfig.from_json(
+        {"fixture": "inner-zw", "order": [6, 6], "checks": checks}))
+    for name in checks:
+        assert runner._run_check(name, ctx).passed, name
+    moved = [sys_ for sys_ in moved if sys_ is not ctx.system]
+    assert len(moved) == 2
+    assert not any("bound_trace" in vars(sys_) for sys_ in moved)
+    assert ("bound_trace" in vars(ctx.system)) == (reader is not None)
+
+
+def test_a_report_and_its_system_are_freed_without_the_cycle_collector():
+    """The report holds its system and the system holds the report only
+    weakly, so dropping both frees the iterates and the SVD at once."""
+    system = random_system(np.random.default_rng(5), 4, (5, 5))
+    report = frame_bounds(system)
+    assert report.bound_trace is system.bound_trace
+    held = weakref.ref(system)
+    gc.disable()
+    try:
+        del system, report
+        assert held() is None
+    finally:
+        gc.enable()
