@@ -212,35 +212,49 @@ def masked_complement(k_onb, keep):
     return u[:, :rank], block.shape[0] - rank
 
 
-def compressed_commutator_residual(k_onb, order, a: str, b: str):
-    """Double-commutation residual of a subspace M, from its complement.
+def compressed_commutator_residual(k_onb, order):
+    """Double-commutation residuals of a subspace M, from its complement.
 
     M is the orthogonal complement of span(k_onb) in the degree box
-    `order`, P its orthogonal projector, and A, B the truncated shifts
-    along the axes a, b.  Returns (residual, dim): the norm of
-    [P A P, P B^* P] on the vectors of M supported where A and B^* act
-    exactly (a-degree below the edge, b-degree at least 1), and the
-    dimension of that subspace; the residual is 0.0 when it is trivial.
+    `order`, P its orthogonal projector, and S_z, S_w the truncated
+    shifts.  For each axis order (a, b), first (z, w) and then (w, z),
+    the result holds (residual, dim): the norm of [P A P, P B^* P] on the
+    vectors of M supported where A and B^* act exactly (a-degree below
+    the edge, b-degree at least 1), and the dimension of that subspace;
+    the residual is 0.0 when it is trivial.
 
     A B^* = B^* A holds exactly on the box, so for x in M the commutator
     equals P (B^* K K^H A - A K K^H B^*) x with K = k_onb.  That operator
     has rank at most 2k and is formed from n x 2k and 2k x n factors
-    only, with the shifts applied as index moves: O(n k^2) in all.  M need
-    not be shift-invariant.
+    only, with the shifts applied as index moves: O(n k^2) in all.  The
+    four shifted copies of K are built once, in two blocks: the left
+    factor [B^* K, -A K] of one axis order is, up to the sign of its
+    second half, the right factor [A^* K, B K] of the other.  M need not
+    be shift-invariant.
     """
     k = np.asarray(k_onb)
     deg = dict(zip("zw", TruncatedSpace(order).degree_grid()))
     edge = dict(zip("zw", order))
-    keep = (deg[a] < edge[a]) & (deg[b] >= 1)
-    v, dim = masked_complement(k, keep)
-    if dim == 0:
-        return 0.0, 0
-    left = np.hstack([shift_rows(k, order, b, adjoint=True), -shift_rows(k, order, a)])
-    left -= k @ (k.conj().T @ left)
-    right = np.hstack([shift_rows(k, order, a, adjoint=True), shift_rows(k, order, b)])
-    right = right[keep].conj().T
-    right -= (right @ v) @ v.conj().T
-    return opnorm(np.linalg.qr(left, mode="r") @ right), dim
+    # blocks[a + b] = [B^* K, A K]; multiplying by sign gives the left
+    # factor in the block's memory order, which the BLAS rounding follows
+    blocks = {a + b: np.hstack([shift_rows(k, order, b, adjoint=True), shift_rows(k, order, a)])
+              for a, b in ("zw", "wz")}
+    sign = np.repeat([1.0, -1.0], k.shape[1])
+    out = []
+    for a, b in ("zw", "wz"):
+        keep = (deg[a] < edge[a]) & (deg[b] >= 1)
+        v, dim = masked_complement(k, keep)
+        if dim == 0:
+            out.append((0.0, 0))
+            continue
+        left = blocks[a + b] * sign
+        left -= k @ (k.conj().T @ left)
+        r = np.linalg.qr(left, mode="r")
+        del left  # freed before the right factor is formed: a lower peak
+        right = blocks[b + a][keep].conj().T
+        right -= (right @ v) @ v.conj().T
+        out.append((opnorm(r @ right), dim))
+    return tuple(out)
 
 
 def iterate_grid(t1, t2, phi, l1: int, l2: int) -> np.ndarray:

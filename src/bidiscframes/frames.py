@@ -424,8 +424,7 @@ def kernel_doubly_commutes(sys: IterateSystem) -> KernelCommuteReport:
             residual_z=0.0, residual_w=0.0, n_checked=0,
             message="trivial kernel; vacuously true",
         )
-    rz, nz = compressed_commutator_residual(rows, sys.horizon, "z", "w")
-    rw, nw = compressed_commutator_residual(rows, sys.horizon, "w", "z")
+    (rz, nz), (rw, nw) = compressed_commutator_residual(rows, sys.horizon)
     if nz == 0 and nw == 0:
         return KernelCommuteReport(
             residual=float("nan"), verdict=False, vacuous=False, inconclusive=True,

@@ -33,7 +33,10 @@ compression of the constant 1 as the distinguished seed vector.  Its
 n x n orthogonal projector is built on demand, only when read.  The
 double-commutation test also works from the complement, so nothing
 costs more than O(n k^2) for a quotient of dimension k, besides the
-dense QR of multi-term generators.
+dense QR of multi-term generators.  On a union of quadrants it works on
+the index set itself: the compressed shifts move coordinate vectors to
+coordinate vectors, so the test takes O(n) boolean grid operations, no
+factorisation, and its residuals are exactly 0.0 or 1.0.
 
 Every array here follows the dtype of the module's coefficients: for an
 inner function or generators with real coefficients (every catalog
@@ -376,6 +379,25 @@ def codimension_profile(spec: InnerSpec, orders: Sequence) -> list[int]:
     return profile
 
 
+def _index_set_residual(inside: np.ndarray):
+    """(residual, dim) of the double-commutation test along (z, w) on the
+    span of the coordinate vectors e_(i,j), (i, j) in the index set
+    `inside` (a boolean coefficient grid), with no factorisation.
+
+    P S_z P and P S_w^* P move coordinate vectors to coordinate vectors or
+    to 0, so on e_(i,j) with (i, j) in the set and i <= N1-1, j >= 1 the
+    commutator gives c e_(i+1,j-1) with
+    c = [(i+1,j-1) in set] ([(i,j-1) in set] - [(i+1,j) in set]).  Distinct
+    inputs go to distinct outputs, so the commutator is a signed partial
+    permutation: its norm is exactly 1.0 when some c is nonzero, else 0.0,
+    and dim counts the inputs.  The w-test is this test on the transposed
+    grid.
+    """
+    tested = inside[:-1, 1:]
+    moved = tested & inside[1:, :-1] & (inside[:-1, :-1] != inside[1:, 1:])
+    return float(moved.any()), int(tested.sum())
+
+
 def doubly_commute_test(sub: SubmoduleModel) -> DoublyCommuteReport:
     """Test whether the restricted shifts doubly commute on the submodule.
 
@@ -385,15 +407,24 @@ def doubly_commute_test(sub: SubmoduleModel) -> DoublyCommuteReport:
     excludes truncation-edge artifacts; the w-test mirrors the masks.
     Characterization: the submodules of the single-inner-function form
     pass, and e.g. the span generated by {z, w} fails with residual 1.
-    The residuals are computed from the complement basis alone (see
-    compressed_commutator_residual).
+
+    A module stored by its index set (onb_rows: monomial generators and
+    monomial inners, a union of quadrants) is tested on that set with a
+    few boolean grid operations, O(n), and its residuals are exactly 0.0
+    or 1.0.  Every other module is tested from its complement basis
+    alone (compressed_commutator_residual), O(n k^2).
     """
     if sub.rank < 1:
         raise PreconditionError("doubly-commute test needs a nonzero submodule")
     space = sub.space
     n1, n2 = space.order
-    rz, nz = compressed_commutator_residual(sub.complement, space.order, "z", "w")
-    rw, nw = compressed_commutator_residual(sub.complement, space.order, "w", "z")
+    if sub.onb_rows is not None:
+        inside = np.zeros(space.dim, dtype=bool)
+        inside[sub.onb_rows] = True
+        inside = inside.reshape(n1 + 1, n2 + 1)
+        (rz, nz), (rw, nw) = _index_set_residual(inside), _index_set_residual(inside.T)
+    else:
+        (rz, nz), (rw, nw) = compressed_commutator_residual(sub.complement, space.order)
     residual = max(rz, rw)
     return DoublyCommuteReport(
         residual_interior=residual,

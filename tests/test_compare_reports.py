@@ -60,10 +60,11 @@ def test_report_configs_writes_configs_the_runner_accepts(tmp_path, capsys):
     assert f"wrote {len(paths)} configs" in capsys.readouterr().out
     # per fixture: each check alone (codimension needs an inner), all
     # checks at the default order and at (12, 12); then the ladder, the
-    # three larger runs and the complex zero at three orders
+    # three larger runs, the complex zero at three orders, the three
+    # benchmark configs and four monomial inners at (28, 28)
     with_inner = sum(f.spec is not None for f in CATALOG)
     singles = len(CATALOG) * len(CHECK_NAMES) - (len(CATALOG) - with_inner)
-    assert len(paths) == singles + 2 * len(CATALOG) + 3 * 6 + 3 + 3
+    assert len(paths) == singles + 2 * len(CATALOG) + 3 * 6 + 3 + 3 + 3 + 4
     for path in paths:
         cfg = ExperimentConfig.from_json(json.loads(path.read_text()))
         assert cfg.fmt == "csv" and cfg.checks

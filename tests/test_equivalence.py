@@ -14,7 +14,10 @@ only, as the yardstick: verdicts and counts must agree exactly,
 residuals to 1e-12.  The structured submodules (coordinate vectors for
 monomials, one-variable factorisations for separable inners) are also
 pinned to the package's own dense path, orthonormal_split of the
-spanning family, which multi-term generators still take.  The last
+spanning family, which multi-term generators still take.  A union of
+quadrants takes the double-commutation test on its index set; its
+section pins that test to the dense reference and to the dense route on
+the complement, and checks that it runs no factorisation.  The next
 section pins the dtype contract: a real module's chain is float64 from
 end to end and agrees with the same quotient cast to complex128.  The
 last section pins the small-side spectral steps: opnorm from a Gram
@@ -39,6 +42,7 @@ import bidiscframes
 from bidiscframes import runner
 from bidiscframes._linalg import (
     canonical_basis,
+    compressed_commutator_residual,
     iterate_grid,
     opnorm,
     orthonormal_split,
@@ -810,6 +814,75 @@ def test_scipy_loads_only_for_a_pivoted_qr():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False, True]"
+
+
+# --- union-of-quadrant modules on their index set --------------------------
+
+
+QUADRANT_ORDERS = [(0, 6), (6, 0), (0, 0), (4, 9), (9, 3), (7, 7)]
+
+
+def random_quadrant_module(rng, order):
+    """The module generated by 1 to 4 random monomials of the box."""
+    gens = [BidiscPoly.monomial(int(rng.integers(0, order[0] + 1)),
+                                int(rng.integers(0, order[1] + 1)))
+            for _ in range(int(rng.integers(1, 5)))]
+    return generated_submodule(gens, make_space(order))
+
+
+def test_random_quadrant_modules_match_dense_reference():
+    """Seeded random unions of quadrants, at boxes with an empty axis and
+    non-square boxes: the index-set test agrees with the dense reference
+    and with the dense route on the complement, and its residuals are
+    exactly 0.0 or 1.0."""
+    rng = np.random.default_rng(20261018)
+    orders = QUADRANT_ORDERS + [tuple(int(d) for d in rng.integers(0, 10, size=2))
+                                for _ in range(4)]
+    verdicts = set()
+    for order in orders:
+        for _ in range(6):
+            sub = random_quadrant_module(rng, order)
+            assert sub.onb_rows is not None
+            assert_doubly_commute_matches(sub)
+            rep = doubly_commute_test(sub)
+            assert {rep.residual_z, rep.residual_w} <= {0.0, 1.0}
+            (rz, nz), (rw, nw) = compressed_commutator_residual(sub.complement, order)
+            assert (rep.n_interior_z, rep.n_interior_w) == (nz, nw)
+            assert (rep.residual_z, rep.residual_w) == pytest.approx((rz, rw), abs=TOL)
+            verdicts.add(rep.verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name,residual", [
+    ("inner-z", 0.0), ("inner-w", 0.0), ("inner-zw", 0.0), ("inner-z2w", 0.0),
+    ("inner-zw2", 0.0), ("generated-zw", 1.0),
+])
+def test_quadrant_residuals_are_exact_at_order_28(name, residual):
+    sub = next(f for f in CATALOG if f.name == name).make_submodule(make_space((28, 28)))
+    rep = doubly_commute_test(sub)
+    assert (rep.residual_z, rep.residual_w, rep.residual_interior) == (residual,) * 3
+
+
+def test_quadrant_double_commutation_takes_no_factorisation(monkeypatch):
+    """doubly_commute_test on a union of quadrants, and a whole run of
+    build-module and mandrekar on one, call no SVD or QR."""
+    rng = np.random.default_rng(20261018)
+    subs = [f.make_submodule(make_space((10, 10))) for f in CATALOG
+            if f.name in ("inner-zw", "inner-z2w", "generated-zw")]
+    subs += [random_quadrant_module(rng, (9, 5)) for _ in range(5)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorisation on a union of quadrants")
+
+    for module in (np.linalg, scipy.linalg):
+        for name in ("svd", "qr"):
+            monkeypatch.setattr(module, name, refuse)
+    for sub in subs:
+        doubly_commute_test(sub)
+    for fixture in ("inner-zw", "generated-zw"):
+        config = {"fixture": fixture, "order": [10, 10], "checks": ["build-module", "mandrekar"]}
+        outcome = runner.run(runner.ExperimentConfig.from_json(config))
+        assert [r.name for r in outcome.results] == ["build-module", "mandrekar"]
 
 
 # --- real arithmetic for real modules -------------------------------------

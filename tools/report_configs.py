@@ -12,7 +12,13 @@ One JSON config per file, all in csv format:
   with horizon (12, 6);
 - a z-Blaschke factor with the complex zero 0.3 + 0.4i, with all checks
   at (8, 8), (10, 4) and (12, 12): the one module of the set whose
-  chain runs in complex arithmetic (every catalog fixture is real).
+  chain runs in complex arithmetic (every catalog fixture is real);
+- the three configs of the benchmark (perfbench/workloads.py): inner-zw
+  at (28, 28) with the ten checks, generated-zw at (28, 28) with
+  build-module and mandrekar, and inner-zw at (8, 8) with horizon
+  (28, 28) and the ten checks;
+- the other monomial inners, z, w, z2w and zw2, at (28, 28) with
+  mandrekar.
 
 The codimension check needs an inner recipe, so fixtures without one
 (generated-zw, riesz-model) skip it; every config then runs without a
@@ -35,6 +41,8 @@ from bidiscframes.runner import CHECK_NAMES
 
 LADDER = ("z", "zw", "z2w")
 COMPLEX_ZERO = {"kind": "blaschke_z", "zeros": [[0.3, 0.4]]}
+TEN_CHECKS = ("build-module", "mandrekar", "jordan", "frame-bounds", "kernel-invariance",
+              "kernel-doubly-commutes", "similarity", "recover", "decay", "equiv-vector")
 
 
 def configs() -> dict[str, dict]:
@@ -60,6 +68,15 @@ def configs() -> dict[str, dict]:
     for order in ([8, 8], [10, 4], [12, 12]):
         out["blaschke-complex.all-{}-{}".format(*order)] = {
             "inner": COMPLEX_ZERO, "order": order, "checks": list(CHECK_NAMES)}
+    out["bench.inner-zw.ten-28"] = {"fixture": "inner-zw", "order": [28, 28],
+                                    "checks": list(TEN_CHECKS)}
+    out["bench.generated-zw.build-28"] = {"fixture": "generated-zw", "order": [28, 28],
+                                          "checks": ["build-module", "mandrekar"]}
+    out["bench.inner-zw.horizon-28"] = {"fixture": "inner-zw", "order": [8, 8],
+                                        "horizon": [28, 28], "checks": list(TEN_CHECKS)}
+    for name in ("inner-z", "inner-w", "inner-z2w", "inner-zw2"):
+        out[f"{name}.mandrekar-28"] = {"fixture": name, "order": [28, 28],
+                                       "checks": ["mandrekar"]}
     for cfg in out.values():
         cfg["format"] = "csv"
     return out
