@@ -212,6 +212,27 @@ def masked_complement(k_onb, keep):
     return u[:, :rank], block.shape[0] - rank
 
 
+def _index_set_residual(inside: np.ndarray):
+    """(residual, dim) of the double-commutation test along (z, w) on the
+    span of the coordinate vectors e_(i,j), (i, j) in the index set
+    `inside` (a boolean coefficient grid of a degree box), with no
+    factorisation.  It serves a union-of-quadrant submodule on the degree
+    box and a coordinate synthesis kernel on the horizon box.
+
+    P S_z P and P S_w^* P move coordinate vectors to coordinate vectors or
+    to 0, so on e_(i,j) with (i, j) in the set, i below the last row and
+    j >= 1, the commutator gives c e_(i+1,j-1) with
+    c = [(i+1,j-1) in set] ([(i,j-1) in set] - [(i+1,j) in set]).  Distinct
+    inputs go to distinct outputs, so the commutator is a signed partial
+    permutation: its norm is exactly 1.0 when some c is nonzero, else 0.0,
+    and dim counts the inputs.  The w-test is this test on the transposed
+    grid.
+    """
+    tested = inside[:-1, 1:]
+    moved = tested & inside[1:, :-1] & (inside[:-1, :-1] != inside[1:, 1:])
+    return float(moved.any()), int(tested.sum())
+
+
 def compressed_commutator_residual(k_onb, order):
     """Double-commutation residuals of a subspace M, from its complement.
 

@@ -17,6 +17,20 @@ and the row space.  The bound trace over square sub-horizons is built
 only when read, on the smaller side of each corner, and cached beside
 the SVD.  iterate() marks the arrays read-only, so no cache can go
 stale.
+
+A coordinate synthesis matrix, with at most one nonzero entry in every
+row and every column, takes no factorisation.  Its iterates are
+multiples of distinct coordinate vectors: the compressed shifts of a
+union-of-quadrant module act as the two-variable Jordan block, and the
+shift pair of the Riesz check and any weighted shift pair act the same
+way.  One cached structure test per system, O(dim ncols), recognises it.
+The SVD is then read off the entries exactly, the bound trace is a
+running maximum and minimum over the rims with no Gram or eigvalsh, and
+the kernel is the coordinate span of the columns outside the rank set:
+its double-commutation test runs on that index set, and its invariance
+residual is the largest |entry| among the shifted kernel columns.  Both
+residuals are exact (0.0 or 1.0, and 0.0 or an entry modulus), with no
+masked_complement.  Every other system takes the dense path.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._linalg import (
+    _index_set_residual,
     compressed_commutator_residual,
     hermitian_extremes,
     iterate_grid,
@@ -164,10 +179,60 @@ class IterateSystem:
         return self.vectors[i, j]
 
     @cached_property
+    def _coordinate_entries(self):
+        """(rows, entries) when every row and every column of the synthesis
+        matrix holds at most one nonzero entry, else None: column c holds
+        entries[c] in row rows[c] and is zero elsewhere (a zero column has
+        entry 0).  O(dim ncols), with no arithmetic on the entries.
+
+        Then U^H U is diagonal: each iterate is a multiple of one
+        coordinate vector, as for the two-variable Jordan block of a
+        union-of-quadrant quotient, and every check reads its numbers off
+        the entries.  An empty matrix (dim 0) and a nonfinite entry keep
+        the dense path.
+        """
+        nonzero = self.synthesis != 0
+        if (not self.triple.dim
+                or np.count_nonzero(nonzero, axis=0).max() > 1
+                or np.count_nonzero(nonzero, axis=1).max() > 1):
+            return None
+        rows = nonzero.argmax(axis=0)
+        entries = self.synthesis[rows, np.arange(self.ncols)]
+        return (rows, entries) if np.isfinite(entries).all() else None
+
+    @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U, singular values, Vh): the thin SVD of the synthesis matrix,
-        taken once per system."""
-        return tuple(np.linalg.svd(self.synthesis, full_matrices=False))
+        taken once per system.
+
+        A coordinate synthesis matrix (see _coordinate_entries) has it
+        exactly: the singular values are the |entries| in descending
+        order, ties going to the lower column, U holds the phases on the
+        rows hit and Vh the columns hit, and the unused coordinate vectors
+        complete both in index order.  Every other matrix takes the dense
+        thin SVD.
+        """
+        hits = self._coordinate_entries
+        if hits is None:
+            return tuple(np.linalg.svd(self.synthesis, full_matrices=False))
+        rows, entries = hits
+        dim, ncols = self.synthesis.shape
+        m = min(dim, ncols)
+        mod = np.abs(entries)
+        cols = np.argsort(-mod, kind="stable")[: np.count_nonzero(mod)]
+        r = cols.size
+        s = np.zeros(m)
+        s[:r] = mod[cols]
+        free_rows = np.ones(dim, dtype=bool)
+        free_rows[rows[cols]] = False
+        free_cols = np.ones(ncols, dtype=bool)
+        free_cols[cols] = False
+        u = np.zeros((dim, m), dtype=self.synthesis.dtype)
+        u[np.flatnonzero(free_rows)[: m - r], np.arange(r, m)] = 1.0
+        u[rows[cols], np.arange(r)] = entries[cols] / s[:r]
+        vh = np.zeros((m, ncols), dtype=self.synthesis.dtype)
+        vh[np.arange(m), np.concatenate([cols, np.flatnonzero(free_cols)[: m - r]])] = 1.0
+        return u, s, vh
 
     def rank(self) -> int:
         """Numerical rank of the synthesis matrix: the singular values
@@ -186,8 +251,28 @@ class IterateSystem:
         enters it once.  A corner of m = (h+1)^2 < dim iterates has a
         singular frame operator: its lower bound is 0, and its upper bound
         is the largest eigenvalue of the m x m Gram of its iterates.
+
+        For a coordinate synthesis matrix every corner operator is
+        diagonal, with the squared |entries| of the corner's iterates on
+        distinct rows: the trace is a running maximum and minimum over the
+        rims, with no Gram and no eigvalsh.
         """
         dim = self.triple.dim
+        hits = self._coordinate_entries
+        if hits is not None:
+            entries = hits[1]
+            sq = (entries * entries.conj()).real
+            hit = entries != 0
+            i, j = np.divmod(np.arange(self.ncols), self.horizon.d2 + 1)
+            level = np.maximum(i, j)  # the first corner that holds the column
+            hi, lo, count, trace = 0.0, np.inf, 0, []
+            for h in range(min(self.horizon) + 1):
+                rim = sq[(level == h) & hit]
+                hi = max(hi, float(rim.max(initial=0.0)))
+                lo = min(lo, float(rim.min(initial=np.inf)))
+                count += rim.size
+                trace.append((h, lo if count == dim else 0.0, hi))
+            return tuple(trace)
         gram = np.zeros((dim, dim), dtype=self.vectors.dtype)
         trace = []
         for h in range(min(self.horizon) + 1):
@@ -367,6 +452,24 @@ def frame_bounds(sys: IterateSystem) -> FrameReport:
     return sys._frame_report
 
 
+def _coordinate_kernel(sys: IterateSystem):
+    """(kernel, modulus) as boolean and float grids over the horizon box
+    when the synthesis matrix is coordinate (see
+    IterateSystem._coordinate_entries), else None.
+
+    The kernel is then the coordinate span of the columns outside the
+    rank set, those whose |entry| is at or below KERNEL_RTOL times the
+    largest (the rank rule), and modulus holds each column's |entry|.
+    """
+    hits = sys._coordinate_entries
+    if hits is None:
+        return None
+    shape = (sys.horizon.d1 + 1, sys.horizon.d2 + 1)
+    mod = np.abs(hits[1])
+    kernel = ~(mod > KERNEL_RTOL * mod.max())
+    return kernel.reshape(shape), mod.reshape(shape)
+
+
 def kernel_shift_invariance(sys: IterateSystem) -> KernelInvarianceReport:
     """How far the synthesis kernel is from being shift-invariant.
 
@@ -378,27 +481,42 @@ def kernel_shift_invariance(sys: IterateSystem) -> KernelInvarianceReport:
     vectors supported on the sub-box), which does not depend on a choice
     of basis.  A kernel supported only on the outer rim leaves nothing to
     check, which is reported as inconclusive.
+
+    For a coordinate synthesis matrix, U R P has orthogonal columns with
+    one entry each, so the residual is exactly the largest |entry| among
+    the shifted kernel columns (0.0 when all are zero), with no
+    factorisation.
     """
-    rows = synthesis_rowspace(sys)
-    if rows.shape[1] == sys.ncols:
+    if sys.rank() == sys.ncols:
         return KernelInvarianceReport(
             residual=0.0, vacuous=True, inconclusive=False, n_checked=0,
             message="kernel is trivial; nothing to test",
         )
-    ideg, jdeg = sys.box_space.degree_grid()
-    keep = (ideg <= sys.horizon.d1 - 1) & (jdeg <= sys.horizon.d2 - 1)
-    v, n_checked = masked_complement(rows, keep)
+    grids = _coordinate_kernel(sys)
+    if grids is not None:
+        kernel, mod = grids
+        tested = kernel[:-1, :-1]
+        n_checked = int(np.count_nonzero(tested))
+        # R e_(i,j) is e_(i+1,j) or e_(i,j+1), so U R P has one entry per
+        # column, on distinct rows
+        moved = np.concatenate([mod[1:, :-1][tested], mod[:-1, 1:][tested]])
+        residual = float(moved.max(initial=0.0))
+    else:
+        ideg, jdeg = sys.box_space.degree_grid()
+        keep = (ideg <= sys.horizon.d1 - 1) & (jdeg <= sys.horizon.d2 - 1)
+        v, n_checked = masked_complement(synthesis_rowspace(sys), keep)
+        residual = 0.0
+        if n_checked:
+            for axis in ("z", "w"):
+                # U R moves U's columns: (U R)^T = R^* U^T
+                moved = shift_rows(sys.synthesis.T, sys.horizon, axis, adjoint=True).T[:, keep]
+                moved -= (moved @ v) @ v.conj().T
+                residual = max(residual, opnorm(moved))
     if n_checked == 0:
         return KernelInvarianceReport(
             residual=float("nan"), vacuous=False, inconclusive=True, n_checked=0,
             message="kernel supported only on the outer rim; enlarge horizon",
         )
-    residual = 0.0
-    for axis in ("z", "w"):
-        # U R moves U's columns: (U R)^T = R^* U^T
-        moved = shift_rows(sys.synthesis.T, sys.horizon, axis, adjoint=True).T[:, keep]
-        moved -= (moved @ v) @ v.conj().T
-        residual = max(residual, opnorm(moved))
     return KernelInvarianceReport(
         residual=residual,
         vacuous=False,
@@ -415,16 +533,22 @@ def kernel_doubly_commutes(sys: IterateSystem) -> KernelCommuteReport:
     applied to kernel vectors supported on the interior sub-box
     (i <= L1-1, j >= 1), and mirrored for the other order.  A trivial
     kernel is vacuously true.  The residuals are computed from the row
-    space, the kernel's complement (see compressed_commutator_residual).
+    space, the kernel's complement (see compressed_commutator_residual);
+    a coordinate kernel is tested on its index set instead
+    (_index_set_residual), with residuals exactly 0.0 or 1.0.
     """
-    rows = synthesis_rowspace(sys)
-    if rows.shape[1] == sys.ncols:
+    if sys.rank() == sys.ncols:
         return KernelCommuteReport(
             residual=0.0, verdict=True, vacuous=True, inconclusive=False,
             residual_z=0.0, residual_w=0.0, n_checked=0,
             message="trivial kernel; vacuously true",
         )
-    (rz, nz), (rw, nw) = compressed_commutator_residual(rows, sys.horizon)
+    grids = _coordinate_kernel(sys)
+    if grids is not None:
+        kernel = grids[0]
+        (rz, nz), (rw, nw) = _index_set_residual(kernel), _index_set_residual(kernel.T)
+    else:
+        (rz, nz), (rw, nw) = compressed_commutator_residual(synthesis_rowspace(sys), sys.horizon)
     if nz == 0 and nw == 0:
         return KernelCommuteReport(
             residual=float("nan"), verdict=False, vacuous=False, inconclusive=True,

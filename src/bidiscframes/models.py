@@ -50,7 +50,8 @@ CONDITION_GUARD = 1e6
 @dataclass(frozen=True)
 class SimilarityWitness:
     """An invertible map claimed to conjugate one triple onto another,
-    with the verification residuals."""
+    with its extreme singular values and the intertwining residuals
+    ||L T1 - T1' L||, ||L T2 - T2' L|| and ||L phi - phi'||."""
 
     L: np.ndarray
     sigma_min: float
@@ -118,19 +119,40 @@ def _conjugate(l: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(l.conj().T, (l @ a).conj().T).conj().T
 
 
-def certify_similarity(l, source: OperatorTriple, target: OperatorTriple) -> SimilarityWitness:
-    """Residuals of the similarity equations for a candidate witness."""
+def _witness_residuals(l, source: OperatorTriple, t1, t2, phi) -> tuple[float, float, float]:
+    """The intertwining residuals ||L T1 - T1' L||, ||L T2 - T2' L|| and
+    ||L phi - phi'|| of a witness L from source to (T1', T2', phi'): two
+    products per operator, no solve."""
+    return (
+        opnorm(l @ source.T1 - t1 @ l),
+        opnorm(l @ source.T2 - t2 @ l),
+        float(np.linalg.norm(l @ source.phi - phi)),
+    )
+
+
+def certify_similarity(l, source: OperatorTriple, target: OperatorTriple,
+                       svals=None) -> SimilarityWitness:
+    """Residuals of the similarity equations for a candidate witness.
+
+    The equations are checked in intertwining form, L T = T' L and
+    L phi = phi', so a witness is certified by what it does and not by a
+    recomputation of the conjugated triple.  svals, the singular values
+    of l in descending order, spare a second SVD when the caller has
+    them.
+    """
     l = np.asarray(l, dtype=np.complex128)
     if l.shape != (source.dim, source.dim):
         raise ValueError(f"witness shape {l.shape} does not match dim {source.dim}")
-    svals = np.linalg.svd(l, compute_uv=False)
+    if svals is None:
+        svals = np.linalg.svd(l, compute_uv=False)
+    res_t1, res_t2, res_phi = _witness_residuals(l, source, target.T1, target.T2, target.phi)
     return SimilarityWitness(
         L=l,
         sigma_min=float(svals[-1]),
         sigma_max=float(svals[0]),
-        residual_T1=opnorm(_conjugate(l, source.T1) - target.T1),
-        residual_T2=opnorm(_conjugate(l, source.T2) - target.T2),
-        residual_phi=float(np.linalg.norm(l @ source.phi - target.phi)),
+        residual_T1=res_t1,
+        residual_T2=res_t2,
+        residual_phi=res_phi,
     )
 
 
@@ -138,7 +160,9 @@ def transport(triple: OperatorTriple, l, condition_cap: float = CONDITION_GUARD)
     """Conjugate a triple by an invertible map.
 
     Returns (new_triple, witness).  Numerically singular maps are
-    rejected; condition numbers beyond the cap trip the guard.
+    rejected; condition numbers beyond the cap trip the guard.  The
+    witness is certified against the new triple by its intertwining
+    residuals, with the singular values taken here.
     """
     l = np.asarray(l, dtype=np.complex128)
     if l.shape != (triple.dim, triple.dim):
@@ -156,7 +180,7 @@ def transport(triple: OperatorTriple, l, condition_cap: float = CONDITION_GUARD)
         T2=_conjugate(l, triple.T2),
         phi=l @ triple.phi,
     )
-    return new, certify_similarity(l, triple, new)
+    return new, certify_similarity(l, triple, new, svals)
 
 
 def estimate_similarity(source: IterateSystem, target: IterateSystem) -> np.ndarray:
@@ -253,38 +277,28 @@ def recover_model(sys: IterateSystem) -> ModelRecovery:
 def uniqueness_of_L(sys: IterateSystem, l1, l2) -> UniquenessReport:
     """Distance between two certified witnesses for the same similarity.
 
-    The common target triple is derived from the first witness; the
-    second is certified against it.  For frame systems the intertwining
-    equations pin the witness down on the closed span of the iterates,
-    so certified witnesses must coincide.  A system that is not a frame,
-    or a witness that is singular or not certified, is a false
-    precondition (PreconditionError).
+    The common target triple is derived from the first witness, which
+    therefore satisfies it by construction; the second is certified
+    against it by its intertwining residuals.  For frame systems the
+    intertwining equations pin the witness down on the closed span of the
+    iterates, so certified witnesses must coincide.  A system that is not
+    a frame, a singular witness, or a second witness that is not
+    certified is a false precondition (PreconditionError).
     """
     report = frame_bounds(sys)
     if not report.is_frame:
         raise PreconditionError("witness uniqueness requires a frame system")
     l1 = np.asarray(l1, dtype=np.complex128)
     l2 = np.asarray(l2, dtype=np.complex128)
-    source = sys.triple
-    target_t1 = _conjugate(l1, source.T1)
-    target_t2 = _conjugate(l1, source.T2)
-    target_phi = l1 @ source.phi
-
-    def _resids(l):
-        return (
-            opnorm(_conjugate(l, source.T1) - target_t1),
-            opnorm(_conjugate(l, source.T2) - target_t2),
-            float(np.linalg.norm(l @ source.phi - target_phi)),
-        )
-
     for name, l in (("first", l1), ("second", l2)):
         svals = np.linalg.svd(l, compute_uv=False)
         if svals[0] == 0.0 or svals[-1] <= 1e-14 * svals[0]:
             raise PreconditionError(f"{name} witness is numerically singular")
-        bad = [r for r in _resids(l) if r > WITNESS_TOL]
-        if bad:
-            raise PreconditionError(
-                f"{name} witness not certified: residual {max(bad):.3e} > {WITNESS_TOL:.1e}"
-            )
-
+    source = sys.triple
+    target = (_conjugate(l1, source.T1), _conjugate(l1, source.T2), l1 @ source.phi)
+    worst = max(_witness_residuals(l2, source, *target))
+    if worst > WITNESS_TOL:
+        raise PreconditionError(
+            f"second witness not certified: residual {worst:.3e} > {WITNESS_TOL:.1e}"
+        )
     return UniquenessReport(distance=opnorm(l1 - l2), certified=True)

@@ -56,6 +56,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._linalg import (
+    _index_set_residual,
     compressed_commutator_residual,
     iterate_grid,
     kronecker_split,
@@ -377,25 +378,6 @@ def codimension_profile(spec: InnerSpec, orders: Sequence) -> list[int]:
         sub = beurling_submodule(ip, space)
         profile.append(space.dim - sub.rank)
     return profile
-
-
-def _index_set_residual(inside: np.ndarray):
-    """(residual, dim) of the double-commutation test along (z, w) on the
-    span of the coordinate vectors e_(i,j), (i, j) in the index set
-    `inside` (a boolean coefficient grid), with no factorisation.
-
-    P S_z P and P S_w^* P move coordinate vectors to coordinate vectors or
-    to 0, so on e_(i,j) with (i, j) in the set and i <= N1-1, j >= 1 the
-    commutator gives c e_(i+1,j-1) with
-    c = [(i+1,j-1) in set] ([(i,j-1) in set] - [(i+1,j) in set]).  Distinct
-    inputs go to distinct outputs, so the commutator is a signed partial
-    permutation: its norm is exactly 1.0 when some c is nonzero, else 0.0,
-    and dim counts the inputs.  The w-test is this test on the transposed
-    grid.
-    """
-    tested = inside[:-1, 1:]
-    moved = tested & inside[1:, :-1] & (inside[:-1, :-1] != inside[1:, 1:])
-    return float(moved.any()), int(tested.sum())
 
 
 def doubly_commute_test(sub: SubmoduleModel) -> DoublyCommuteReport:

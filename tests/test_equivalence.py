@@ -23,6 +23,11 @@ end to end and agrees with the same quotient cast to complex128.  The
 last section pins the small-side spectral steps: opnorm from a Gram
 matrix against the SVD norm, the column-at-a-time iterate grid against
 one recurrence per vector, and the bound trace, built only when read.
+The last section pins the coordinate path of an iterate system (at most
+one nonzero entry in every row and column of its synthesis matrix) on
+weighted shift pairs: the exact SVD, bound trace and kernel tests
+against the dense references, the dense path for one extra entry, and
+no factorisation on that path.
 """
 
 import dataclasses
@@ -1108,3 +1113,161 @@ def test_a_report_and_its_system_are_freed_without_the_cycle_collector():
         assert held() is None
     finally:
         gc.enable()
+
+
+# --- coordinate synthesis matrices: weighted shift pairs ------------------
+
+
+def weighted_shift_system(rng, order, horizon, complex_=False, zero_from=None, tiny=None):
+    """The iterates of c e_(0,0) under a weighted shift pair on the box
+    `order`, with T1^i T2^j c e_(0,0) = w_(i,j) e_(i,j) for random weights
+    w of modulus in [0.3, 3] (random signs, or phases when complex_).
+
+    The weights vanish on the quadrant i >= p, j >= q when zero_from is
+    (p, q), and w at the index `tiny` is 1e-12, below the rank cutoff (at
+    an index with no weight out of it, so that the pair still commutes to
+    rounding).
+    T1 e_(i,j) = (w_(i+1,j) / w_(i,j)) e_(i+1,j), and likewise T2, with
+    weight 1 out of an index where w vanishes: the pair commutes, and each
+    iterate is a multiple of one coordinate vector, or zero past the box.
+    """
+    shape = (order[0] + 1, order[1] + 1)
+    w = rng.uniform(0.3, 3.0, size=shape)
+    w = w * (np.exp(2j * np.pi * rng.uniform(size=shape)) if complex_
+             else rng.choice([-1.0, 1.0], size=shape))
+    if zero_from is not None:
+        w[zero_from[0]:, zero_from[1]:] = 0.0
+    if tiny is not None:
+        w[tiny] = 1e-12
+    c, w = w[0, 0], w / w[0, 0]
+    space = make_space(order)
+    t1 = np.zeros((space.dim, space.dim), dtype=w.dtype)
+    t2 = np.zeros_like(t1)
+    for i, j in np.ndindex(*shape):
+        for t, (a, b) in ((t1, (i + 1, j)), (t2, (i, j + 1))):
+            if a < shape[0] and b < shape[1]:
+                t[space.index(a, b), space.index(i, j)] = w[a, b] / w[i, j] if w[i, j] else 1.0
+    return iterate(OperatorTriple(T1=t1, T2=t2, phi=c * space.basis_vector(0, 0)), horizon)
+
+
+WEIGHTED_CASES = [
+    # order, horizon, complex_, zero_from, tiny
+    ((4, 4), (4, 4), False, None, None),
+    ((4, 4), (4, 4), True, None, None),
+    ((5, 3), (8, 6), False, None, None),  # horizon past the order: zero columns
+    ((5, 3), (8, 6), True, (2, 1), None),
+    ((3, 3), (6, 6), False, (1, 2), (0, 3)),
+    ((6, 2), (7, 3), True, None, (6, 2)),
+    ((2, 6), (2, 7), True, (1, 4), (0, 6)),
+    ((4, 4), (0, 6), False, None, None),
+    # a 1e-12 weight on the top or right edge of the box: its kernel
+    # column is moved by one shift only, to an entry of order 1
+    ((4, 3), (6, 5), False, None, (1, 3)),
+    ((3, 4), (5, 6), True, None, (3, 1)),
+]
+
+
+@pytest.mark.parametrize("order,horizon,complex_,zero_from,tiny", WEIGHTED_CASES)
+def test_weighted_shift_systems_match_dense_reference(order, horizon, complex_, zero_from, tiny):
+    """The exact SVD, bound trace and kernel tests of a coordinate
+    synthesis matrix agree with the dense references, and the kernel
+    residuals are exact: 0.0 or 1.0, and 0.0 or an entry modulus."""
+    rng = np.random.default_rng([*order, *horizon, complex_])
+    sys = weighted_shift_system(rng, order, horizon, complex_, zero_from, tiny)
+    assert sys._coordinate_entries is not None
+    u, s, vh = sys.svd
+    ref_u, ref_s, ref_vh = np.linalg.svd(sys.synthesis, full_matrices=False)
+    assert (u.shape, s.shape, vh.shape) == (ref_u.shape, ref_s.shape, ref_vh.shape)
+    assert u.dtype == ref_u.dtype and vh.dtype == ref_vh.dtype
+    assert np.abs(s - ref_s).max() <= TOL
+    assert np.all(np.diff(s) <= 0.0)
+    assert np.abs(u.conj().T @ u - np.eye(s.size)).max() <= TOL
+    assert np.abs(vh @ vh.conj().T - np.eye(s.size)).max() <= TOL
+    assert np.abs((u * s) @ vh - sys.synthesis).max() <= TOL
+    assert_factorisation_matches(sys)
+    assert_kernel_tests_match(sys)
+    com = kernel_doubly_commutes(sys)
+    if not (com.vacuous or com.inconclusive):
+        assert {com.residual_z, com.residual_w} <= {0.0, 1.0}
+    inv = kernel_shift_invariance(sys)
+    if not (inv.vacuous or inv.inconclusive):
+        assert inv.residual in {0.0, *np.abs(sys.synthesis).ravel()}
+
+
+def test_svd_order_ties_and_completion():
+    """Singular values in descending order, equal ones in column order,
+    and the unused coordinate vectors completing U and Vh in index
+    order; U diag(s) Vh gives the synthesis matrix bit for bit."""
+    t1, t2 = np.zeros((4, 4)), np.zeros((4, 4))
+    t1[1, 0], t2[2, 0] = 1.5, -1.0
+    sys = iterate(OperatorTriple(T1=t1, T2=t2, phi=np.array([2.0, 0.0, 0.0, 0.0])), (2, 1))
+    u, s, vh = sys.svd
+    np.testing.assert_array_equal(s, [3.0, 2.0, 2.0, 0.0])
+    np.testing.assert_array_equal(vh.argmax(axis=1), [2, 0, 1, 3])
+    np.testing.assert_array_equal(u, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+    np.testing.assert_array_equal((u * s) @ vh, sys.synthesis)
+
+    # T1^i T2^j e_(0,0) = 2^j e_(i,j): ten equal entries per j
+    space = make_space((9, 2))
+    sys = iterate(OperatorTriple(T1=shift_matrix(space, "z"), T2=2.0 * shift_matrix(space, "w"),
+                                 phi=space.basis_vector(0, 0)), (9, 2))
+    u, s, vh = sys.svd
+    np.testing.assert_array_equal(s, np.repeat([4.0, 2.0, 1.0], 10))
+    order = [sys.col_index(i, j) for j in (2, 1, 0) for i in range(10)]
+    np.testing.assert_array_equal(vh.argmax(axis=1), order)
+    np.testing.assert_array_equal(u.argmax(axis=0), order)
+
+
+@pytest.mark.parametrize("where", ["column", "row"])
+def test_one_extra_entry_takes_the_dense_path(where):
+    """A second nonzero entry in one column, or in one row, sends the
+    system to the dense SVD, byte for byte."""
+    sys = weighted_shift_system(np.random.default_rng(3), (4, 4), (5, 5))
+    rows, entries = sys._coordinate_entries
+    synthesis = sys.synthesis.copy()
+    if where == "column":  # column 1 holds e_(0,1); add an entry in row 0
+        synthesis[0, 1] = 0.5
+    else:  # a zero column past the box edge, on the row of column 0
+        synthesis[rows[0], sys.col_index(5, 5)] = 0.5
+    dense = dataclasses.replace(sys, synthesis=synthesis)
+    assert dense._coordinate_entries is None
+    for got, ref in zip(dense.svd, np.linalg.svd(synthesis, full_matrices=False)):
+        np.testing.assert_array_equal(got, ref)
+    assert_factorisation_matches(dense)
+    assert_kernel_tests_match(dense)
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+def test_coordinate_systems_take_no_factorisation(monkeypatch):
+    """frame-bounds, kernel-invariance and kernel-doubly-commutes on a
+    coordinate synthesis matrix, and a whole riesz run, call no SVD, no
+    eigvalsh and no masked_complement."""
+    from bidiscframes import _linalg, frames
+
+    ctxs = []
+    for config in ({"fixture": "inner-zw", "order": [10, 10]},
+                   {"fixture": "inner-z2w", "order": [6, 6], "horizon": [9, 9]}):
+        ctx = runner.RunContext(runner.ExperimentConfig.from_json(
+            {**config, "checks": ["frame-bounds"]}))
+        assert ctx.system._coordinate_entries is not None
+        ctxs.append(ctx)
+    weighted = [weighted_shift_system(np.random.default_rng(9), (5, 3), (8, 6), complex_)
+                for complex_ in (False, True)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorisation on a coordinate synthesis matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(frames, "masked_complement", refuse)
+    monkeypatch.setattr(_linalg, "masked_complement", refuse)
+    for ctx in ctxs:
+        for name in ("frame-bounds", "kernel-invariance", "kernel-doubly-commutes"):
+            assert runner._run_check(name, ctx).data, name
+    for sys_ in weighted:
+        frame_bounds(sys_).to_dict()
+        kernel_shift_invariance(sys_)
+        kernel_doubly_commutes(sys_)
+    outcome = runner.run(runner.ExperimentConfig.from_json(
+        {"fixture": "riesz-model", "order": [6, 6], "checks": ["riesz"]}))
+    assert outcome.exit_code == 0

@@ -113,6 +113,32 @@ def test_certify_rejects_wrong_map():
     assert not witness.certified
 
 
+def test_certify_rejects_a_witness_moved_by_1e_6_in_one_entry(monkeypatch):
+    """The witness is checked against the triple it claims to produce, by
+    L T = T' L with no solve, not by recomputing that triple: one entry
+    off by 1e-6 fails.  transport takes one SVD of L and hands its
+    singular values to the certificate."""
+    _, _, _, triple, _ = zw_chain((4, 4))
+    l = random_similarity(triple.dim, RNG)
+    svd_calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: svd_calls.append(1) or real_svd(*a, **kw))
+    target, witness = transport(triple, l)
+    assert witness.certified and len(svd_calls) == 1
+    assert (witness.sigma_min, witness.sigma_max) == tuple(real_svd(l, compute_uv=False)[[-1, 0]])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve in a certificate")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    moved = l.copy()
+    moved[2, 3] += 1e-6
+    bad = certify_similarity(moved, triple, target)
+    assert not bad.certified
+    assert min(bad.residual_T1, bad.residual_T2) > 1e-8
+
+
 def test_estimate_similarity_recovers_map_on_frames():
     _, _, _, triple, sys = zw_chain()
     l = random_similarity(triple.dim, RNG)

@@ -18,7 +18,9 @@ One JSON config per file, all in csv format:
   build-module and mandrekar, and inner-zw at (8, 8) with horizon
   (28, 28) and the ten checks;
 - the other monomial inners, z, w, z2w and zw2, at (28, 28) with
-  mandrekar.
+  mandrekar;
+- riesz-model at (24, 24) with riesz: the shift pair's 625 x 625
+  iterate system, whose synthesis matrix is a permutation.
 
 The codimension check needs an inner recipe, so fixtures without one
 (generated-zw, riesz-model) skip it; every config then runs without a
@@ -77,6 +79,8 @@ def configs() -> dict[str, dict]:
     for name in ("inner-z", "inner-w", "inner-z2w", "inner-zw2"):
         out[f"{name}.mandrekar-28"] = {"fixture": name, "order": [28, 28],
                                        "checks": ["mandrekar"]}
+    out["riesz-model.riesz-24"] = {"fixture": "riesz-model", "order": [24, 24],
+                                   "checks": ["riesz"]}
     for cfg in out.values():
         cfg["format"] = "csv"
     return out
