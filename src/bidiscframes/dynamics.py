@@ -154,16 +154,11 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
     v = np.asarray(v)
     if v.shape != (triple.dim, triple.dim):
         raise ValueError(f"map shape {v.shape} does not match dim {triple.dim}")
-    c1 = opnorm(v @ triple.T1 - triple.T1 @ v)
-    if c1 > COMMUTE_REQ:
-        raise ValueError(
-            f"map does not commute with T1: residual {c1:.3e} > {COMMUTE_REQ:.1e}"
-        )
-    c2 = opnorm(v @ triple.T2 - triple.T2 @ v)
-    if c2 > COMMUTE_REQ:
-        raise ValueError(
-            f"map does not commute with T2: residual {c2:.3e} > {COMMUTE_REQ:.1e}"
-        )
+    for name, t in (("T1", triple.T1), ("T2", triple.T2)):
+        comm = opnorm(v @ t - t @ v)
+        if comm > COMMUTE_REQ:
+            raise ValueError(f"map does not commute with {name}: "
+                             f"residual {comm:.3e} > {COMMUTE_REQ:.1e}")
     svals = np.linalg.svd(v, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
         raise ValueError("map is numerically singular")

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .frames import (
-    COMM_TOL,
     FrameReport,
     IterateSystem,
     OperatorTriple,
+    PreconditionError,
     frame_bounds,
     iterate,
 )
@@ -80,8 +80,8 @@ class Fixture:
 class FixtureChain:
     """One fixture carried through the full construction chain.
 
-    triple and system are None when the quotient's compressed shifts do
-    not commute at working precision; note says why.
+    triple and system are None when the quotient has no operator triple;
+    note says why.
     """
 
     fixture: Fixture
@@ -197,24 +197,19 @@ def build_chain(fixture: Fixture, order=None, horizon=None) -> FixtureChain:
     and iterate system.
 
     The horizon defaults to the truncation order, which is the exactness
-    regime for the compressed-shift models.  Chains whose quotient has
-    non-commuting compressed shifts stop there, with the reason recorded.
+    regime for the compressed-shift models.  A quotient with no operator
+    triple stops the chain, with triple_from_quotient's reason as note.
     """
     space = make_space(order if order is not None else fixture.order)
     sub = fixture.make_submodule(space)
     quot = quotient(sub)
-    triple = None
-    system = None
+    triple = system = None
     note = ""
-    if quot.trivial:
-        note = "quotient is trivial; no operator pair"
-    elif quot.comm_residual > COMM_TOL:
-        note = (
-            f"compressed shifts commute only to {quot.comm_residual:.3e}; "
-            "no exact model at this truncation"
-        )
-    else:
+    try:
         triple = triple_from_quotient(quot)
+    except PreconditionError as exc:
+        note = str(exc)
+    else:
         system = iterate(triple, horizon if horizon is not None else space.order)
     return FixtureChain(
         fixture=fixture,

@@ -15,8 +15,8 @@ Each system factorises its synthesis matrix once: one thin SVD, cached
 on the system, gives the frame bounds, the rank, the kernel dimension
 and the row space.  The bound trace over square sub-horizons is built
 only when read, on the smaller side of each corner, and cached beside
-the SVD.  iterate() marks the arrays read-only, so no cache can go
-stale.
+the SVD.  The iterates are kept once, as the synthesis matrix, which
+iterate() marks read-only, so no cache can go stale.
 
 A coordinate synthesis matrix, with at most one nonzero entry in every
 row and every column, takes no factorisation.  Its iterates are
@@ -144,19 +144,23 @@ class OperatorTriple:
 
 @dataclass(frozen=True)
 class IterateSystem:
-    """All iterates of the seed inside a horizon box, plus their synthesis
+    """All iterates of the seed inside a horizon box, as their synthesis
     matrix (dim x n_columns, columns in row-major horizon order).
 
     The thin SVD of the synthesis matrix and the bound trace are computed
     on first use and cached on the system.  The frame report reads its
     bounds off the SVD, so a report whose trace nobody reads never builds
-    it.  iterate() makes both arrays read-only so the caches stay valid.
+    it.  iterate() makes synthesis, and so its view vectors, read-only.
     """
 
     triple: OperatorTriple
     horizon: DegreePair
-    vectors: np.ndarray  # (L1+1, L2+1, dim)
     synthesis: np.ndarray  # (dim, (L1+1)(L2+1))
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The (L1+1, L2+1, dim) grid of iterates, a view of synthesis."""
+        return self.synthesis.T.reshape(self.horizon.d1 + 1, self.horizon.d2 + 1, self.triple.dim)
 
     @property
     def ncols(self) -> int:
@@ -175,8 +179,7 @@ class IterateSystem:
         return i * (l2 + 1) + j
 
     def vector(self, i: int, j: int) -> np.ndarray:
-        self.col_index(i, j)
-        return self.vectors[i, j]
+        return self.synthesis[:, self.col_index(i, j)]
 
     @cached_property
     def _coordinate_entries(self):
@@ -273,14 +276,15 @@ class IterateSystem:
                 count += rim.size
                 trace.append((h, lo if count == dim else 0.0, hi))
             return tuple(trace)
-        gram = np.zeros((dim, dim), dtype=self.vectors.dtype)
+        gram = np.zeros((dim, dim), dtype=self.synthesis.dtype)
         trace = []
         for h in range(min(self.horizon) + 1):
             # iterates of corner h outside corner h - 1, as rows
             rim = np.concatenate([self.vectors[h, : h + 1], self.vectors[:h, h]])
             gram += rim.T @ rim.conj()
             if (h + 1) ** 2 < dim:
-                block = self.vectors[: h + 1, : h + 1].reshape(-1, dim)
+                # C order, as the Gram's rounding depends on the layout
+                block = np.ascontiguousarray(self.vectors[: h + 1, : h + 1].reshape(-1, dim))
                 lo, hi = 0.0, hermitian_extremes(block.conj() @ block.T)[1]
             else:
                 lo, hi = hermitian_extremes(gram)
@@ -391,7 +395,7 @@ def iterate(triple: OperatorTriple, horizon) -> IterateSystem:
     """Build every iterate T1^i T2^j phi for (i, j) in the horizon box.
 
     The grid is built a column at a time, one matrix product per column
-    (see iterate_grid).  Both arrays of the result are read-only.
+    (see iterate_grid), and kept as the read-only synthesis matrix.
     Refuses to run past desk scale: operator dimension >= BDF_MAX_DIM
     (default 2000) or horizon boxes with 1e5 or more columns.
     """
@@ -406,13 +410,10 @@ def iterate(triple: OperatorTriple, horizon) -> IterateSystem:
         )
     if ncols >= COLS_LIMIT:
         raise GuardError(f"horizon box has {ncols} columns (guard {COLS_LIMIT})")
-    vectors = iterate_grid(triple.T1, triple.T2, triple.phi, l1, l2)
-    synthesis = vectors.reshape(ncols, triple.dim).T.copy()
-    vectors.flags.writeable = False
+    grid = iterate_grid(triple.T1, triple.T2, triple.phi, l1, l2)
+    synthesis = grid.reshape(ncols, triple.dim).T.copy()
     synthesis.flags.writeable = False
-    return IterateSystem(
-        triple=triple, horizon=horizon, vectors=vectors, synthesis=synthesis
-    )
+    return IterateSystem(triple=triple, horizon=horizon, synthesis=synthesis)
 
 
 def synthesis_rowspace(sys: IterateSystem) -> np.ndarray:

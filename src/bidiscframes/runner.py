@@ -52,7 +52,6 @@ from .hardy import (
     _degree_pair,
     _integer,
     make_space,
-    shift_matrix,
 )
 from .inner import InnerSpec, build_inner
 from .models import (
@@ -70,6 +69,7 @@ from .submodule import (
     generated_submodule,
     jordan_identity_check,
     quotient,
+    zero_submodule,
 )
 
 __all__ = [
@@ -211,6 +211,9 @@ class ExperimentConfig:
         transport_cfg = merged.get("transport") or {}
         if not isinstance(transport_cfg, dict):
             raise ValueError("transport must be an object with seed/condition_cap")
+        unknown = set(transport_cfg) - {"seed", "condition_cap"}
+        if unknown:
+            raise ValueError(f"unknown transport keys: {', '.join(sorted(unknown))}")
         cap = transport_cfg.get("condition_cap", 1e3)
         # a condition number is at least 1, so a smaller cap refuses every map
         if isinstance(cap, bool) or not isinstance(cap, (int, float)) or not cap >= 1:
@@ -400,11 +403,19 @@ def _check_build(ctx: RunContext) -> CheckResult:
     return CheckResult("build-module", True, data)
 
 
+def _monomial_box(spec: InnerSpec) -> tuple[int, int]:
+    """Componentwise largest bidegree of the monomial factors, or (0, 0)."""
+    if spec.kind == "monomial":
+        return spec.degree
+    return tuple(max(d) for d in zip((0, 0), *map(_monomial_box, spec.factors)))
+
+
 def _check_codimension(ctx: RunContext) -> CheckResult:
     if ctx.cfg.inner is None:
         raise ValueError("codimension check requires an inner recipe")
     top = min(ctx.cfg.order)
-    ks = list(range(2, top + 1)) or [top]
+    a, b = _monomial_box(ctx.cfg.inner)
+    ks = list(range(max(2, a, b), top + 1)) or [max(top, a, b)]
     orders = [(k, k) for k in ks]
     profile = codimension_profile(ctx.cfg.inner, orders)
     constant = ctx.cfg.inner.degree == (0, 0)
@@ -489,13 +500,10 @@ def _check_kernel_commutes(ctx: RunContext) -> CheckResult:
 
 
 def _check_riesz(ctx: RunContext) -> CheckResult:
-    """The plain shift pair with constant seed over the config order."""
+    """The plain shift pair with constant seed over the config order: the
+    quotient of the zero submodule, built after the space guard."""
     space = ctx.space
-    triple = OperatorTriple(
-        T1=shift_matrix(space, "z"),
-        T2=shift_matrix(space, "w"),
-        phi=space.basis_vector(0, 0),
-    )
+    triple = triple_from_quotient(quotient(zero_submodule(space)))
     rep = frame_bounds(iterate(triple, space.order))
     passed = (
         rep.classification == "minimal_frame"

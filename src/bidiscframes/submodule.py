@@ -63,7 +63,7 @@ from ._linalg import (
     opnorm,
     orthonormal_split,
 )
-from .frames import PreconditionError
+from .frames import COMM_TOL, PreconditionError
 from .hardy import BidiscPoly, DegreePair, TruncatedSpace, shift_rows
 from .inner import InnerPoly, InnerSpec, build_inner
 
@@ -342,7 +342,7 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
     seed = onb_k[0].conj() + 0.0
 
     comm = opnorm(jordan_z @ jordan_w - jordan_w @ jordan_z)
-    if comm > 1e-10:
+    if comm > COMM_TOL:
         if sub.exact:
             raise RuntimeError(f"compressed shifts fail to commute: {comm:.2e}")
         warnings.warn(

@@ -44,6 +44,7 @@ BASE = {"fixture": "inner-zw", "checks": ["build-module"]}
         ({"transport": {"condition_cap": -1}}, "condition_cap must be a number >= 1"),
         ({"seed": -1}, "seed must be nonnegative"),
         ({"transport": {"seed": -3}}, "transport seed must be nonnegative"),
+        ({"transport": {"sed": 5}}, "unknown transport keys: sed"),
     ],
 )
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, patch, message):

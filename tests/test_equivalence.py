@@ -575,6 +575,7 @@ def test_frame_report_is_cached_on_a_read_only_system():
         sys.synthesis[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         sys.vectors[0, 0, 0] = 1.0
+    assert np.shares_memory(sys.vectors, sys.synthesis)
 
 
 @pytest.mark.filterwarnings("ignore:compressed shifts commute")

@@ -7,11 +7,13 @@ import pytest
 
 from bidiscframes.fixtures import (
     CATALOG,
+    Fixture,
     build_chain,
     catalog_inner_specs,
     get_fixture,
     list_fixtures,
 )
+from bidiscframes.hardy import BidiscPoly, DegreePair
 
 
 def test_catalog_has_expected_entries():
@@ -85,6 +87,16 @@ def test_product_chain_stops_at_quotient():
     assert "commute" in chain.note
     with pytest.raises(ValueError, match="no iterate system"):
         chain.frame_report()
+
+
+def test_trivial_quotient_chain_stops_with_a_note():
+    fixture = Fixture(name="one", summary="generated by the constant 1", kind="generated",
+                      order=DegreePair(3, 3), generators=(BidiscPoly.one(),))
+    with pytest.warns(UserWarning, match="trivial quotient"):
+        chain = build_chain(fixture)
+    assert chain.quotient.trivial
+    assert chain.triple is None and chain.system is None
+    assert "trivial quotient" in chain.note
 
 
 def test_chain_accepts_explicit_order_and_horizon():

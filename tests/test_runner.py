@@ -191,6 +191,38 @@ def test_riesz_check_needs_no_recipe():
     assert out.exit_code == 0
 
 
+@pytest.mark.parametrize("recipe", [{}, {"inner": "zw"}], ids=["no-recipe", "inner-zw"])
+def test_riesz_check_reports_the_riesz_model_chain(recipe):
+    """The riesz check iterates the quotient of the zero submodule, which
+    is the riesz-model fixture's chain, whatever the config's recipe."""
+    order = [5, 3]
+    riesz = run(ExperimentConfig.from_json({**recipe, "order": order, "checks": ["riesz"]}))
+    model = run(ExperimentConfig.from_json(
+        {"fixture": "riesz-model", "order": order, "checks": ["frame-bounds"]}))
+    assert riesz.exit_code == model.exit_code == 0
+    assert riesz.results[0].to_json()["data"] == model.results[0].to_json()["data"]
+
+
+@pytest.mark.parametrize(
+    "inner,order,orders",
+    [({"kind": "monomial", "degree": [3, 0]}, [4, 4], [[3, 3], [4, 4]]),
+     ("z", [1, 0], [[1, 1]]),
+     ({"kind": "product", "factors": [{"kind": "blaschke_w", "zeros": [[0.5, 0]]},
+                                      {"kind": "monomial", "degree": [0, 3]}]},
+      [5, 4], [[3, 3], [4, 4]])],
+    ids=["z3-at-4-4", "z-at-1-0", "product-w3-at-5-4"],
+)
+@pytest.mark.filterwarnings("ignore:submodule is approximate")
+def test_codimension_ladder_starts_where_the_monomial_fits(inner, order, orders):
+    """The ladder starts at the bidegree of the monomial part (of each
+    monomial factor of a product) when that exceeds 2, and is one rung
+    when the box is smaller than the monomial."""
+    out = run(ExperimentConfig.from_json(
+        {"inner": inner, "order": order, "checks": ["codimension"]}))
+    assert out.exit_code == 0
+    assert out.results[0].to_json()["data"]["orders"] == orders
+
+
 def test_submodule_check_without_recipe_is_config_error():
     with pytest.raises(ValueError, match="recipe"):
         run(ExperimentConfig.from_json({"order": [4, 4], "checks": ["jordan"]}))

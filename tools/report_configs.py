@@ -20,7 +20,10 @@ One JSON config per file, all in csv format:
 - the other monomial inners, z, w, z2w and zw2, at (28, 28) with
   mandrekar;
 - riesz-model at (24, 24) with riesz: the shift pair's 625 x 625
-  iterate system, whose synthesis matrix is a permutation.
+  iterate system, whose synthesis matrix is a permutation;
+- at the rectangular order (9, 4), riesz with no recipe and riesz-model
+  with frame-bounds: the same shift pair, reached once by the check and
+  once through the fixture's chain.
 
 The codimension check needs an inner recipe, so fixtures without one
 (generated-zw, riesz-model) skip it; every config then runs without a
@@ -81,6 +84,9 @@ def configs() -> dict[str, dict]:
                                        "checks": ["mandrekar"]}
     out["riesz-model.riesz-24"] = {"fixture": "riesz-model", "order": [24, 24],
                                    "checks": ["riesz"]}
+    out["riesz.no-recipe-9-4"] = {"order": [9, 4], "checks": ["riesz"]}
+    out["riesz-model.frame-bounds-9-4"] = {"fixture": "riesz-model", "order": [9, 4],
+                                           "checks": ["frame-bounds"]}
     for cfg in out.values():
         cfg["format"] = "csv"
     return out
