@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import iterate_grid, opnorm, subspace_distance
+from ._linalg import iterate_grid, opnorm
 from .frames import (
     FrameReport,
     InvariantViolation,
@@ -25,7 +25,7 @@ from .frames import (
     OperatorTriple,
     frame_bounds,
     iterate,
-    synthesis_rowspace,
+    rowspace_gap,
 )
 
 __all__ = [
@@ -177,7 +177,7 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
             f"{base_report.classification} -> {moved_report.classification}"
         )
     # the kernels agree exactly when their complements, the row spaces, do
-    gap = subspace_distance(synthesis_rowspace(base), synthesis_rowspace(moved))
+    gap = rowspace_gap(base, moved)
     if gap > KERNEL_MATCH_TOL:
         raise InvariantViolation(
             f"synthesis kernels differ: subspace distance {gap:.3e}"

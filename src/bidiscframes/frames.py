@@ -30,7 +30,9 @@ the kernel is the coordinate span of the columns outside the rank set:
 its double-commutation test runs on that index set, and its invariance
 residual is the largest |entry| among the shifted kernel columns.  Both
 residuals are exact (0.0 or 1.0, and 0.0 or an entry modulus), with no
-masked_complement.  Every other system takes the dense path.
+masked_complement.  Every other system takes the dense path.  The
+row-space gap of two systems (rowspace_gap) reads a coordinate row space
+by its rank set, with no product.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from ._linalg import (
     masked_complement,
     null_space_onb,
     opnorm,
+    subspace_distance,
 )
 from .hardy import DegreePair, TruncatedSpace, shift_rows, _as_degree
 
@@ -66,6 +69,7 @@ __all__ = [
     "iterate",
     "synthesis_kernel",
     "synthesis_rowspace",
+    "rowspace_gap",
     "frame_bounds",
     "kernel_shift_invariance",
     "kernel_doubly_commutes",
@@ -469,6 +473,34 @@ def _coordinate_kernel(sys: IterateSystem):
     mod = np.abs(hits[1])
     kernel = ~(mod > KERNEL_RTOL * mod.max())
     return kernel.reshape(shape), mod.reshape(shape)
+
+
+def rowspace_gap(a: IterateSystem, b: IterateSystem) -> float:
+    """Gap ||P_a - P_b|| between the row spaces of two systems over the
+    same horizon, which is also the gap between their synthesis kernels,
+    since each kernel projector is I minus the row-space one.
+
+    Two coordinate systems (see _coordinate_kernel) have coordinate row
+    spaces, so the gap is 0.0 when their rank sets agree and 1.0 when
+    they differ, with no products.  For equal ranks the gap is the one
+    term ||(I - P_a) Q_b|| (Bjorck & Golub, Math. Comp. 27, 1973), taken
+    with a coordinate system as a when there is one: (I - P_a) Q_b is
+    then the rows of Q_b outside a's rank set, gathered with no product.
+    Unequal ranks take the two-term formula of subspace_distance.
+    """
+    grid_a, grid_b = _coordinate_kernel(a), _coordinate_kernel(b)
+    if grid_a is not None and grid_b is not None:
+        return 0.0 if np.array_equal(grid_a[0].ravel(), grid_b[0].ravel()) else 1.0
+    if a.rank() != b.rank():
+        return subspace_distance(synthesis_rowspace(a), synthesis_rowspace(b))
+    if grid_a is None and grid_b is not None:
+        a, b, grid_a = b, a, grid_b
+    if grid_a is not None:
+        # Q_b is Vh_b[:rank]^H; its rows outside the rank set of a, as the
+        # columns of Vh_b, have the same spectral norm
+        return opnorm(b.svd[2][: b.rank(), grid_a[0].ravel()])
+    qa, qb = synthesis_rowspace(a), synthesis_rowspace(b)
+    return opnorm(qb - qa @ (qa.conj().T @ qb))
 
 
 def kernel_shift_invariance(sys: IterateSystem) -> KernelInvarianceReport:

@@ -156,18 +156,21 @@ def certify_similarity(l, source: OperatorTriple, target: OperatorTriple,
     )
 
 
-def transport(triple: OperatorTriple, l, condition_cap: float = CONDITION_GUARD):
+def transport(triple: OperatorTriple, l, condition_cap: float = CONDITION_GUARD,
+              svals=None):
     """Conjugate a triple by an invertible map.
 
     Returns (new_triple, witness).  Numerically singular maps are
     rejected; condition numbers beyond the cap trip the guard.  The
     witness is certified against the new triple by its intertwining
-    residuals, with the singular values taken here.
+    residuals.  svals, the singular values of l in descending order (as
+    random_similarity returns them), spare the SVD taken here otherwise.
     """
     l = np.asarray(l, dtype=np.complex128)
     if l.shape != (triple.dim, triple.dim):
         raise ValueError(f"map shape {l.shape} does not match dim {triple.dim}")
-    svals = np.linalg.svd(l, compute_uv=False)
+    if svals is None:
+        svals = np.linalg.svd(l, compute_uv=False)
     smin, smax = float(svals[-1]), float(svals[0])
     if smax == 0.0 or smin <= 1e-14 * smax:
         raise ValueError("similarity map is numerically singular")
@@ -192,21 +195,33 @@ def estimate_similarity(source: IterateSystem, target: IterateSystem) -> np.ndar
     pseudoinverse of U_source, formed from the source's cached SVD with
     the cutoff of numpy.linalg.pinv (singular values above 1e-15 times
     the largest).
+
+    When the source is a coordinate system, the rows of its Vh are
+    coordinate vectors (each a single entry 1), so U_target Vh^H is a
+    gather of target columns, with no product.
     """
     if source.horizon != target.horizon:
         raise ValueError("systems must share a horizon")
     u, s, vh = source.svd
     keep = s > 1e-15 * s.max(initial=0.0)
-    return (target.synthesis @ vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+    if source._coordinate_entries is None:
+        block = target.synthesis @ vh[keep].conj().T
+    else:
+        # C order, like the product, as the rounding below follows the layout
+        block = np.ascontiguousarray(target.synthesis[:, vh[keep].argmax(axis=1)])
+    return (block / s[keep]) @ u[:, keep].conj().T
 
 
 def random_similarity(dim: int, rng: np.random.Generator,
-                      condition_cap: float = 1e3) -> np.ndarray:
+                      condition_cap: float = 1e3, *, return_svals: bool = False):
     """Seeded random invertible map of the form I + eps G.
 
     eps is scaled from the spectral norm of G so the perturbation stays
     strictly contractive, which keeps the condition number far below any
-    reasonable cap; the cap is still enforced for tiny dimensions.
+    reasonable cap; the cap is still enforced for tiny dimensions.  With
+    return_svals, returns (L, singular values of L in descending order),
+    which transport and uniqueness_of_L take instead of an SVD of their
+    own.
     """
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     scale = float(rng.uniform(0.2, 0.9))
@@ -214,7 +229,7 @@ def random_similarity(dim: int, rng: np.random.Generator,
     svals = np.linalg.svd(l, compute_uv=False)
     if svals[0] / svals[-1] > condition_cap:
         raise GuardError("sampled map exceeded the condition cap")
-    return l
+    return (l, svals) if return_svals else l
 
 
 def recover_model(sys: IterateSystem) -> ModelRecovery:
@@ -274,7 +289,8 @@ def recover_model(sys: IterateSystem) -> ModelRecovery:
     )
 
 
-def uniqueness_of_L(sys: IterateSystem, l1, l2) -> UniquenessReport:
+def uniqueness_of_L(sys: IterateSystem, l1, l2, target: OperatorTriple | None = None,
+                    svals=None) -> UniquenessReport:
     """Distance between two certified witnesses for the same similarity.
 
     The common target triple is derived from the first witness, which
@@ -284,19 +300,27 @@ def uniqueness_of_L(sys: IterateSystem, l1, l2) -> UniquenessReport:
     iterates, so certified witnesses must coincide.  A system that is not
     a frame, a singular witness, or a second witness that is not
     certified is a false precondition (PreconditionError).
+
+    target, the triple l1 carries the system's triple onto (as transport
+    returns it), spares conjugating again; svals, the singular values of
+    l1 in descending order, spare its SVD.
     """
     report = frame_bounds(sys)
     if not report.is_frame:
         raise PreconditionError("witness uniqueness requires a frame system")
     l1 = np.asarray(l1, dtype=np.complex128)
     l2 = np.asarray(l2, dtype=np.complex128)
-    for name, l in (("first", l1), ("second", l2)):
-        svals = np.linalg.svd(l, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] <= 1e-14 * svals[0]:
+    for name, l, s in (("first", l1, svals), ("second", l2, None)):
+        if s is None:
+            s = np.linalg.svd(l, compute_uv=False)
+        if s[0] == 0.0 or s[-1] <= 1e-14 * s[0]:
             raise PreconditionError(f"{name} witness is numerically singular")
     source = sys.triple
-    target = (_conjugate(l1, source.T1), _conjugate(l1, source.T2), l1 @ source.phi)
-    worst = max(_witness_residuals(l2, source, *target))
+    if target is None:
+        moved = (_conjugate(l1, source.T1), _conjugate(l1, source.T2), l1 @ source.phi)
+    else:
+        moved = (target.T1, target.T2, target.phi)
+    worst = max(_witness_residuals(l2, source, *moved))
     if worst > WITNESS_TOL:
         raise PreconditionError(
             f"second witness not certified: residual {worst:.3e} > {WITNESS_TOL:.1e}"

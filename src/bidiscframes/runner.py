@@ -43,6 +43,7 @@ from .frames import (
     iterate,
     kernel_doubly_commutes,
     kernel_shift_invariance,
+    rowspace_gap,
     synthesis_rowspace,
 )
 from .hardy import (
@@ -316,7 +317,9 @@ def _native(obj):
     if isinstance(obj, (list, tuple)):
         return [_native(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _native(obj.tolist())
+        # tolist() gives Python bools, ints and floats; only complex
+        # entries still need converting
+        return obj.tolist() if obj.dtype.kind in "biuf" else _native(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -516,8 +519,10 @@ def _check_riesz(ctx: RunContext) -> CheckResult:
 def _check_similarity(ctx: RunContext) -> CheckResult:
     rng = ctx.transport_rng()
     base = frame_bounds(ctx.system)
-    l = random_similarity(ctx.triple.dim, rng, condition_cap=ctx.cfg.condition_cap)
-    moved_triple, witness = transport(ctx.triple, l, condition_cap=ctx.cfg.condition_cap)
+    cap = ctx.cfg.condition_cap
+    # one SVD of L serves the cap, the witness and the uniqueness test
+    l, svals = random_similarity(ctx.triple.dim, rng, condition_cap=cap, return_svals=True)
+    moved_triple, witness = transport(ctx.triple, l, condition_cap=cap, svals=svals)
     moved_sys = iterate(moved_triple, ctx.cfg.horizon)
     moved = frame_bounds(moved_sys)
 
@@ -528,9 +533,9 @@ def _check_similarity(ctx: RunContext) -> CheckResult:
         and moved.upper <= smax**2 * base.upper + slack
     )
     # kernel gap = row-space gap, since P_N = I - P_R
-    gap = subspace_distance(synthesis_rowspace(ctx.system), synthesis_rowspace(moved_sys))
+    gap = rowspace_gap(ctx.system, moved_sys)
     l_est = estimate_similarity(ctx.system, moved_sys)
-    uniq = uniqueness_of_L(ctx.system, l, l_est)
+    uniq = uniqueness_of_L(ctx.system, l, l_est, moved_triple, svals)
     passed = (
         witness.certified
         and base.is_frame == moved.is_frame

@@ -36,7 +36,9 @@ costs more than O(n k^2) for a quotient of dimension k, besides the
 dense QR of multi-term generators.  On a union of quadrants it works on
 the index set itself: the compressed shifts move coordinate vectors to
 coordinate vectors, so the test takes O(n) boolean grid operations, no
-factorisation, and its residuals are exactly 0.0 or 1.0.
+factorisation, and its residuals are exactly 0.0 or 1.0.  The quotient
+of such a module takes its compressed shifts the same way, as index
+maps: the submatrices of the box shifts on the missing monomials.
 
 Every array here follows the dtype of the module's coefficients: for an
 inner function or generators with real coefficients (every catalog
@@ -307,6 +309,34 @@ def zero_submodule(space: TruncatedSpace) -> SubmoduleModel:
                           rank=rank, **basis)
 
 
+def _coordinate_rows(onb_k):
+    """r with column j of onb_k equal to e_(r[j]) for every j, or None."""
+    cols, rows = np.nonzero(onb_k.T)
+    if cols.size != onb_k.shape[1] or not np.array_equal(cols, np.arange(cols.size)):
+        return None
+    return rows if (onb_k[rows, cols] == 1.0).all() else None
+
+
+def _index_compression(rows, space: TruncatedSpace, axis: str, dtype) -> np.ndarray:
+    """S[rows][:, rows] for the box shift S along axis, as an index map:
+    entry (a, b) is 1 when the shift moves monomial rows[b] to rows[a].
+    rows must be distinct."""
+    i, j = space.degree_grid()
+    n1, n2 = space.order
+    if axis == "z":
+        inside, step = i[rows] < n1, n2 + 1
+    else:
+        inside, step = j[rows] < n2, 1
+    where = np.full(space.dim, -1)
+    where[rows] = np.arange(rows.size)
+    src = np.flatnonzero(inside)
+    dst = where[rows[src] + step]
+    hit = dst >= 0
+    out = np.zeros((rows.size, rows.size), dtype=dtype)
+    out[dst[hit], src[hit]] = 1.0
+    return out
+
+
 def quotient(sub: SubmoduleModel) -> QuotientModel:
     """Orthogonal complement with compressed shifts and seed.
 
@@ -319,6 +349,12 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
     built), both at most 1e-10.  This stands in for
     checking the projector P = K K^H: P is Hermitian by construction, and
     ||P^2 - P|| = ||K (K^H K - I) K^H|| <= e (1 + e) with e = ||K^H K - I||.
+
+    On a union of quadrants (onb_rows), K is the coordinate vectors of the
+    missing monomials, so both certificates are index-set tests (they
+    vanish when the missing indices are distinct and disjoint from
+    onb_rows) and the compressed shifts are the submatrices S[rows][:, rows]
+    of the box shifts, built as index maps with no product.
     """
     space = sub.space
     onb_k = sub.complement
@@ -328,15 +364,24 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
     if k == 0:
         warnings.warn("trivial quotient: submodule fills the whole box", stacklevel=2)
 
-    orth = opnorm(onb_k.conj().T @ onb_k - np.eye(k))
-    cross = opnorm(sub.onb_adjoint(onb_k))
+    rows = _coordinate_rows(onb_k) if sub.onb_rows is not None else None
+    orth = cross = 0.0
+    # np.bincount, not np.unique, whose first call imports numpy.ma (0.8 MB)
+    if rows is None or np.bincount(rows).max(initial=0) > 1:
+        orth = opnorm(onb_k.conj().T @ onb_k - np.eye(k))
+    if rows is None or np.isin(rows, sub.onb_rows).any():
+        cross = opnorm(sub.onb_adjoint(onb_k))
     if orth > COMPLEMENT_TOL or cross > COMPLEMENT_TOL:
         raise RuntimeError(
             f"complement defect beyond tolerance (orth {orth:.2e}, cross {cross:.2e})"
         )
 
-    jordan_z = onb_k.conj().T @ shift_rows(onb_k, space.order, "z")
-    jordan_w = onb_k.conj().T @ shift_rows(onb_k, space.order, "w")
+    if rows is None:
+        jordan_z = onb_k.conj().T @ shift_rows(onb_k, space.order, "z")
+        jordan_w = onb_k.conj().T @ shift_rows(onb_k, space.order, "w")
+    else:
+        jordan_z, jordan_w = (_index_compression(rows, space, axis, onb_k.dtype)
+                              for axis in ("z", "w"))
     # K^H e_(0,0), the compression of the constant 1, bit for bit: + 0.0
     # turns the -0.0 that conj leaves into the +0.0 of that product
     seed = onb_k[0].conj() + 0.0

@@ -27,7 +27,11 @@ The last section pins the coordinate path of an iterate system (at most
 one nonzero entry in every row and column of its synthesis matrix) on
 weighted shift pairs: the exact SVD, bound trace and kernel tests
 against the dense references, the dense path for one extra entry, and
-no factorisation on that path.
+no factorisation on that path.  The last section pins the small side of
+the similarity check: rowspace_gap against subspace_distance, the
+estimate from a coordinate source and the index-map quotient of a union
+of quadrants against the products they replace, byte for byte, and one
+SVD of the random map per check.
 """
 
 import dataclasses
@@ -63,12 +67,19 @@ from bidiscframes.frames import (
     iterate,
     kernel_doubly_commutes,
     kernel_shift_invariance,
+    rowspace_gap,
     synthesis_kernel,
     synthesis_rowspace,
 )
 from bidiscframes.hardy import BidiscPoly, make_space, shift_matrix, shift_rows
 from bidiscframes.inner import InnerSpec, build_inner
-from bidiscframes.models import random_similarity, recover_model, transport, triple_from_quotient
+from bidiscframes.models import (
+    estimate_similarity,
+    random_similarity,
+    recover_model,
+    transport,
+    triple_from_quotient,
+)
 from bidiscframes.submodule import (
     COMMUTE_TOL,
     _spanning_family,
@@ -1272,3 +1283,155 @@ def test_coordinate_systems_take_no_factorisation(monkeypatch):
     outcome = runner.run(runner.ExperimentConfig.from_json(
         {"fixture": "riesz-model", "order": [6, 6], "checks": ["riesz"]}))
     assert outcome.exit_code == 0
+
+
+# --- the similarity check on its small side --------------------------------
+
+
+def transported(sys, seed):
+    """The iterates of sys's triple moved by a seeded random similarity,
+    over the same horizon: a dense system with the same kernel."""
+    l = random_similarity(sys.triple.dim, np.random.default_rng(seed))
+    return iterate(transport(sys.triple, l)[0], sys.horizon)
+
+
+def catalog_systems(order):
+    """The iterate system of every catalog fixture whose chain reaches one
+    at the order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chains = [build_chain(fixture, order) for fixture in CATALOG]
+    return [chain.system for chain in chains if chain.system is not None]
+
+
+def ref_gap(a, b):
+    return subspace_distance(synthesis_rowspace(a), synthesis_rowspace(b))
+
+
+# the weighted cases whose pair stays commuting after a random similarity
+TRANSPORTABLE = WEIGHTED_CASES[:8]
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+def test_rowspace_gap_matches_subspace_distance():
+    """rowspace_gap agrees with the two-term subspace_distance of the row
+    spaces, both ways round: a coordinate system against a dense one, two
+    dense systems of equal rank, and unequal ranks; two coordinate systems
+    give exactly 0.0 or 1.0, as the dense formula does."""
+    pairs = []
+    for seed, case in enumerate(TRANSPORTABLE):
+        sys = weighted_shift_system(np.random.default_rng(seed), *case)
+        pairs += [(sys, transported(sys, 1)), (transported(sys, 2), transported(sys, 3))]
+    for sys in catalog_systems((6, 6)):
+        pairs += [(sys, transported(sys, 4)), (transported(sys, 5), transported(sys, 6))]
+    for a, b in pairs:
+        assert a.rank() == b.rank()
+        for x, y in ((a, b), (b, a)):
+            assert rowspace_gap(x, y) == pytest.approx(ref_gap(x, y), abs=TOL)
+
+    full = weighted_shift_system(np.random.default_rng(7), (5, 3), (8, 6))
+    cut = weighted_shift_system(np.random.default_rng(8), (5, 3), (8, 6), zero_from=(2, 1))
+    assert full.rank() != cut.rank()
+    for a, b in ((full, transported(cut, 9)), (transported(full, 10), transported(cut, 11))):
+        for x, y in ((a, b), (b, a)):
+            assert rowspace_gap(x, y) == ref_gap(x, y)
+
+    rng = np.random.default_rng(20261019)
+    coordinate = [weighted_shift_system(rng, (3, 3), (6, 6), False, (1, 2), (0, 3)),
+                  weighted_shift_system(rng, (3, 3), (6, 6), True, (1, 2), (0, 3)),
+                  weighted_shift_system(rng, (3, 3), (6, 6), False, (2, 1), (3, 0)),
+                  full, cut]
+    for order in [(4, 9), (7, 7)]:
+        for _ in range(4):
+            quot = quotient(random_quadrant_module(rng, order))
+            if not quot.trivial:
+                coordinate.append(iterate(triple_from_quotient(quot), (7, 7)))
+    gaps = set()
+    for a in coordinate:
+        for b in coordinate:
+            if a.ncols == b.ncols:
+                assert a._coordinate_entries is not None and b._coordinate_entries is not None
+                gap = rowspace_gap(a, b)
+                assert gap == ref_gap(a, b)
+                gaps.add((gap, a.rank() == b.rank()))
+    assert gaps == {(0.0, True), (1.0, True), (1.0, False)}
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+def test_estimate_from_a_coordinate_source_is_the_product():
+    """From a coordinate source, estimate_similarity gathers target
+    columns where it multiplied by the source's Vh: the estimate is the
+    product's, byte for byte."""
+    sources = [weighted_shift_system(np.random.default_rng(12), *case) for case in TRANSPORTABLE]
+    sources += [s for s in catalog_systems((6, 6)) if s._coordinate_entries is not None]
+    sources.append(build_chain(next(f for f in CATALOG if f.name == "inner-z2w"), (6, 6),
+                               horizon=(9, 9)).system)
+    for seed, source in enumerate(sources):
+        assert source._coordinate_entries is not None
+        target = transported(source, seed)
+        u, s, vh = source.svd
+        keep = s > 1e-15 * s.max(initial=0.0)
+        ref = (target.synthesis @ vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+        got = estimate_similarity(source, target)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:trivial quotient", "ignore:submodule is approximate")
+def test_index_map_quotient_matches_the_products(monkeypatch):
+    """On a union of quadrants the compressed shifts are the index-map
+    submatrices S[rows][:, rows], equal byte for byte to K^H shift_rows(K),
+    with no shift applied: catalog fixtures, random unions of quadrants
+    and the zero submodule, which the riesz check takes."""
+    from bidiscframes import submodule
+
+    rng = np.random.default_rng(20261019)
+    subs = [f.make_submodule(make_space(order)) for f in CATALOG for order in [(6, 6), (9, 5)]]
+    subs = [s for s in subs if s.onb_rows is not None]
+    subs += [random_quadrant_module(rng, order) for order in QUADRANT_ORDERS for _ in range(3)]
+    subs += [zero_submodule(make_space(order)) for order in [(0, 0), (3, 0), (4, 6)]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("shift applied on a union of quadrants")
+
+    for sub in subs:
+        k = sub.complement
+        refs = [k.conj().T @ shift_rows(k, sub.space.order, axis) for axis in ("z", "w")]
+        with monkeypatch.context() as patch:
+            patch.setattr(submodule, "shift_rows", refuse)
+            quot = quotient(sub)
+        for got, ref in zip((quot.jordan_z, quot.jordan_w), refs):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_index_map_quotient_keeps_its_certificates():
+    """A repeated missing index fails ||K^H K - I||, and a missing index
+    inside the module fails ||Q^H K||: the index-set certificates still
+    raise."""
+    sub = next(f for f in CATALOG if f.name == "inner-zw").make_submodule(make_space((6, 6)))
+    repeated = sub.complement.copy()
+    repeated[:, 1] = repeated[:, 0]
+    inside = sub.complement.copy()
+    inside[:, 0] = 0.0
+    inside[sub.onb_rows[0], 0] = 1.0
+    for bad in (repeated, inside):
+        with pytest.raises(RuntimeError, match="complement defect"):
+            quotient(dataclasses.replace(sub, complement=bad))
+
+
+def test_similarity_check_factorises_its_map_once(monkeypatch):
+    """One similarity check takes the singular values of its random map L
+    once, in random_similarity, and hands them to transport and to
+    uniqueness_of_L."""
+    ctx = runner.RunContext(runner.ExperimentConfig.from_json(
+        {"fixture": "inner-zw", "order": [10, 10], "checks": ["similarity"]}))
+    ctx.system
+    l = random_similarity(ctx.triple.dim, ctx.transport_rng(), ctx.cfg.condition_cap)
+    on_l = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: on_l.append(np.array_equal(a, l))
+                        or real_svd(a, *args, **kw))
+    assert runner._run_check("similarity", ctx).passed
+    assert on_l.count(True) == 1

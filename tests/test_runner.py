@@ -436,3 +436,34 @@ def test_numerical_failure_inside_a_check_is_its_fail(
     assert code == 1
     assert f"check {check}: FAIL  ({note}" in captured.out
     assert captured.err == ""
+
+
+def test_report_data_is_plain_python():
+    """CheckResult.to_json turns numpy scalars and arrays of every kind
+    into plain Python values, complex entries into {"re", "im"}."""
+    from bidiscframes.runner import CheckResult
+
+    data = {
+        "floats": np.array([[0.5, -0.0], [np.inf, 1e-300]]),
+        "ints": np.arange(3, dtype=np.int32),
+        "flags": np.array([True, False]),
+        "complex": np.array([1 + 2j, -0.5j]),
+        "scalars": (np.float64(0.25), np.int64(7), np.bool_(True), np.complex128(1j)),
+    }
+    out = CheckResult("demo", True, data).to_json()["data"]
+    assert out == {
+        "floats": [[0.5, -0.0], [np.inf, 1e-300]],
+        "ints": [0, 1, 2],
+        "flags": [True, False],
+        "complex": [{"re": 1.0, "im": 2.0}, {"re": -0.0, "im": -0.5}],
+        "scalars": [0.25, 7, True, {"re": 0.0, "im": 1.0}],
+    }
+
+    def kinds(obj):
+        if isinstance(obj, dict):
+            return set().union(*map(kinds, obj.values()))
+        if isinstance(obj, list):
+            return set().union(*map(kinds, obj))
+        return {type(obj)}
+
+    assert kinds(out) == {float, int, bool}

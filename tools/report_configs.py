@@ -23,7 +23,12 @@ One JSON config per file, all in csv format:
   iterate system, whose synthesis matrix is a permutation;
 - at the rectangular order (9, 4), riesz with no recipe and riesz-model
   with frame-bounds: the same shift pair, reached once by the check and
-  once through the fixture's chain.
+  once through the fixture's chain;
+- inner-z2w at (28, 28) with similarity and equiv-vector: dense moved
+  systems over a coordinate base at benchmark scale, where the map V of
+  equiv-vector is not the identity.
+
+177 configs in all.
 
 The codimension check needs an inner recipe, so fixtures without one
 (generated-zw, riesz-model) skip it; every config then runs without a
@@ -87,6 +92,8 @@ def configs() -> dict[str, dict]:
     out["riesz.no-recipe-9-4"] = {"order": [9, 4], "checks": ["riesz"]}
     out["riesz-model.frame-bounds-9-4"] = {"fixture": "riesz-model", "order": [9, 4],
                                            "checks": ["frame-bounds"]}
+    out["inner-z2w.similarity-28"] = {"fixture": "inner-z2w", "order": [28, 28],
+                                      "checks": ["similarity", "equiv-vector"]}
     for cfg in out.values():
         cfg["format"] = "csv"
     return out
