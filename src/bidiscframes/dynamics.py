@@ -148,7 +148,9 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
     ones, so frame-ness, minimality, and the synthesis kernel are all
     preserved; this is asserted, and violations raise.  Non-commuting or
     singular V is rejected up front with the violated bound.  The base
-    system's cached frame report and factorisation are reused.
+    system's cached frame report and factorisation are reused, and the
+    moved triple keeps the base triple's checked pair
+    (OperatorTriple.with_seed).
     """
     triple = base.triple
     v = np.asarray(v)
@@ -164,9 +166,11 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
         raise ValueError("map is numerically singular")
 
     base_report = frame_bounds(base)
-    moved = iterate(
-        OperatorTriple(T1=triple.T1, T2=triple.T2, phi=v @ triple.phi), base.horizon
-    )
+    moved = iterate(triple.with_seed(v @ triple.phi), base.horizon)
+    # the kernels agree exactly when their complements, the row spaces, do;
+    # the gap is taken first, so that over a coordinate base the moved
+    # report reads the gap's R factor
+    gap = rowspace_gap(base, moved)
     moved_report = frame_bounds(moved)
 
     if base_report.is_frame != moved_report.is_frame or (
@@ -176,8 +180,6 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
             "frame class not preserved: "
             f"{base_report.classification} -> {moved_report.classification}"
         )
-    # the kernels agree exactly when their complements, the row spaces, do
-    gap = rowspace_gap(base, moved)
     if gap > KERNEL_MATCH_TOL:
         raise InvariantViolation(
             f"synthesis kernels differ: subspace distance {gap:.3e}"

@@ -11,12 +11,19 @@ of the horizon box, and double commutation of their compressions.  Both
 work from the row space, the kernel's complement, whose dimension is at
 most the operator dimension.
 
-Each system factorises its synthesis matrix once: one thin SVD, cached
-on the system, gives the frame bounds, the rank, the kernel dimension
-and the row space.  The bound trace over square sub-horizons is built
-only when read, on the smaller side of each corner, and cached beside
-the SVD.  The iterates are kept once, as the synthesis matrix, which
-iterate() marks read-only, so no cache can go stale.
+Each system factorises its synthesis matrix once, cached on the system.
+As a rule that is one thin SVD, which gives the frame bounds, the rank,
+the kernel dimension and the row space.  A system whose singular vectors
+nobody reads, such as the moved system of the similarity checks over a
+coordinate base, takes instead the k x k R factor of its tall side
+(U^H = Q R when ncols >= dim): R has the singular values of U, and the
+row space of U is the range of Q = U^H R^-1, so rowspace_gap reads the
+gap to a coordinate row space off R as well.  The rank and the frame
+report read whichever of the two the system holds.  The bound trace
+over square sub-horizons is built only when read, on the smaller side
+of each corner, and cached beside the factorisation.  The iterates are
+kept once, as the synthesis matrix, which iterate() marks read-only, so
+no cache can go stale.
 
 A coordinate synthesis matrix, with at most one nonzero entry in every
 row and every column, takes no factorisation.  Its iterates are
@@ -32,7 +39,8 @@ residual is the largest |entry| among the shifted kernel columns.  Both
 residuals are exact (0.0 or 1.0, and 0.0 or an entry modulus), with no
 masked_complement.  Every other system takes the dense path.  The
 row-space gap of two systems (rowspace_gap) reads a coordinate row space
-by its rank set, with no product.
+by its rank set, with no product, against the other system's R when
+that system has full row rank and no SVD yet.
 """
 
 from __future__ import annotations
@@ -145,16 +153,38 @@ class OperatorTriple:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "comm_residual", float(comm))
 
+    def with_seed(self, phi) -> "OperatorTriple":
+        """The triple of this checked pair with another seed.
+
+        The pair is not checked again: it keeps comm_residual, and it is
+        cast to complex128 only when the seed is complex.
+        """
+        dtype = np.result_type(self.T1, phi, np.float64)
+        phi = np.asarray(phi, dtype=dtype).reshape(-1)
+        if phi.shape[0] != self.dim:
+            raise ValueError(
+                f"seed length {phi.shape[0]} does not match operator dimension {self.dim}"
+            )
+        moved = object.__new__(OperatorTriple)
+        for name, value in (("T1", np.asarray(self.T1, dtype=dtype)),
+                            ("T2", np.asarray(self.T2, dtype=dtype)),
+                            ("phi", phi), ("dim", self.dim),
+                            ("comm_residual", self.comm_residual)):
+            object.__setattr__(moved, name, value)
+        return moved
+
 
 @dataclass(frozen=True)
 class IterateSystem:
     """All iterates of the seed inside a horizon box, as their synthesis
     matrix (dim x n_columns, columns in row-major horizon order).
 
-    The thin SVD of the synthesis matrix and the bound trace are computed
-    on first use and cached on the system.  The frame report reads its
-    bounds off the SVD, so a report whose trace nobody reads never builds
-    it.  iterate() makes synthesis, and so its view vectors, read-only.
+    The thin SVD of the synthesis matrix (or, for rowspace_gap, the R
+    factor of its tall side) and the bound trace are computed on first use
+    and cached on the system.  The frame report reads its bounds off the
+    singular values the system holds, so a report whose trace nobody
+    reads never builds it.  iterate() makes synthesis, and so its view
+    vectors, read-only.
     """
 
     triple: OperatorTriple
@@ -241,10 +271,31 @@ class IterateSystem:
         vh[np.arange(m), np.concatenate([cols, np.flatnonzero(free_cols)[: m - r]])] = 1.0
         return u, s, vh
 
+    @cached_property
+    def _tall_r(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, singular values): the dim x dim R factor of the QR of the
+        tall side U^H (ncols >= dim), and its singular values, which are
+        those of U (T. F. Chan, ACM TOMS 8, 1982).
+
+        Taken only by rowspace_gap, for a system with no SVD whose
+        vectors nobody reads: it costs a QR and a dim x dim values-only
+        SVD where the thin SVD costs several times more.
+        """
+        r = np.linalg.qr(self.synthesis.conj().T, mode="r")
+        return r, np.linalg.svd(r, compute_uv=False)
+
+    @property
+    def _singular_values(self) -> np.ndarray:
+        """The singular values, read off the factorisation the system
+        already holds: the SVD, else R (see _tall_r), else a new SVD."""
+        if "svd" not in self.__dict__ and "_tall_r" in self.__dict__:
+            return self._tall_r[1]
+        return self.svd[1]
+
     def rank(self) -> int:
         """Numerical rank of the synthesis matrix: the singular values
         above KERNEL_RTOL times the largest (0 for a zero matrix)."""
-        s = self.svd[1]
+        s = self._singular_values
         smax = s[0] if s.size else 0.0
         return int(np.sum(s > KERNEL_RTOL * smax)) if smax > 0.0 else 0
 
@@ -309,7 +360,7 @@ class IterateSystem:
         report = self.__dict__.get("_report", lambda: None)()
         if report is not None:
             return report
-        s = self.svd[1]
+        s = self._singular_values
         upper = float(s[0]) ** 2 if s.size else 0.0
         lower = float(s[-1]) ** 2 if s.size == self.triple.dim else 0.0
         kernel_dim = self.ncols - self.rank()
@@ -441,7 +492,7 @@ def frame_bounds(sys: IterateSystem) -> FrameReport:
     over square sub-horizons and a four-way classification.
 
     The bounds are the squared extreme singular values of the system's
-    cached SVD (lower 0 when there are fewer than dim of them); the
+    cached SVD or R (lower 0 when there are fewer than dim of them); the
     trace is built on the first read of report.bound_trace (see
     IterateSystem.bound_trace).
 
@@ -452,7 +503,7 @@ def frame_bounds(sys: IterateSystem) -> FrameReport:
     partial frame operators grow in the positive-semidefinite order.
 
     Repeated calls return the same object for as long as one caller holds
-    it; the bounds are read off the system's cached SVD.
+    it; the bounds are read off the system's cached factorisation.
     """
     return sys._frame_report
 
@@ -487,18 +538,35 @@ def rowspace_gap(a: IterateSystem, b: IterateSystem) -> float:
     with a coordinate system as a when there is one: (I - P_a) Q_b is
     then the rows of Q_b outside a's rank set, gathered with no product.
     Unequal ranks take the two-term formula of subspace_distance.
+
+    When the coordinate system has rank dim (so the horizon holds at
+    least dim columns) and the other has no SVD yet, the other takes the
+    R factor of its tall side, U^H = Q R, instead (IterateSystem._tall_r).
+    If R has rank dim too, the row space has the orthonormal basis
+    Q = U^H R^-1, whose rows at the coordinate system's kernel columns K
+    have the norm of R^-H U[:, K]: the other system takes no SVD, and its
+    frame report reads its values off R.  Otherwise the rules above
+    apply.
     """
     grid_a, grid_b = _coordinate_kernel(a), _coordinate_kernel(b)
     if grid_a is not None and grid_b is not None:
         return 0.0 if np.array_equal(grid_a[0].ravel(), grid_b[0].ravel()) else 1.0
+    coord, dense, kernel = (a, b, grid_a) if grid_a is not None else (b, a, grid_b)
+    if kernel is not None:
+        kernel = kernel[0].ravel()
+        dim = dense.triple.dim
+        if coord.rank() == dim and "svd" not in dense.__dict__:
+            r = dense._tall_r[0]  # dense.rank() now reads R
+            if dense.rank() == dim:
+                # the inverse of the small triangle and one product cost
+                # less than a solve against R^H
+                return opnorm(np.linalg.inv(r).conj().T @ dense.synthesis[:, kernel])
     if a.rank() != b.rank():
         return subspace_distance(synthesis_rowspace(a), synthesis_rowspace(b))
-    if grid_a is None and grid_b is not None:
-        a, b, grid_a = b, a, grid_b
-    if grid_a is not None:
+    if kernel is not None:
         # Q_b is Vh_b[:rank]^H; its rows outside the rank set of a, as the
         # columns of Vh_b, have the same spectral norm
-        return opnorm(b.svd[2][: b.rank(), grid_a[0].ravel()])
+        return opnorm(dense.svd[2][: dense.rank(), kernel])
     qa, qb = synthesis_rowspace(a), synthesis_rowspace(b)
     return opnorm(qb - qa @ (qa.conj().T @ qb))
 

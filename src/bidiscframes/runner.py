@@ -19,7 +19,9 @@ note.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import re
 import time
 import warnings
@@ -524,6 +526,9 @@ def _check_similarity(ctx: RunContext) -> CheckResult:
     l, svals = random_similarity(ctx.triple.dim, rng, condition_cap=cap, return_svals=True)
     moved_triple, witness = transport(ctx.triple, l, condition_cap=cap, svals=svals)
     moved_sys = iterate(moved_triple, ctx.cfg.horizon)
+    # kernel gap = row-space gap, since P_N = I - P_R; taken first, so that
+    # over a coordinate base the moved report reads the gap's R factor
+    gap = rowspace_gap(ctx.system, moved_sys)
     moved = frame_bounds(moved_sys)
 
     smin, smax = witness.sigma_min, witness.sigma_max
@@ -532,8 +537,6 @@ def _check_similarity(ctx: RunContext) -> CheckResult:
         moved.lower >= smin**2 * base.lower - slack
         and moved.upper <= smax**2 * base.upper + slack
     )
-    # kernel gap = row-space gap, since P_N = I - P_R
-    gap = rowspace_gap(ctx.system, moved_sys)
     l_est = estimate_similarity(ctx.system, moved_sys)
     uniq = uniqueness_of_L(ctx.system, l, l_est, moved_triple, svals)
     passed = (
@@ -650,8 +653,28 @@ CHECK_NAMES = tuple(_REGISTRY)
 _STAGE = {name: i for i, name in enumerate(_REGISTRY)}
 
 
+def _write_report(path: Path, text: str):
+    """Write text to path in place: the file is opened without O_TRUNC and
+    cut at the end of the new text, so a rewrite leaves exactly its bytes.
+
+    Truncating a file that holds data to zero length makes some file
+    systems (ext4 with auto_da_alloc, and a discard mount) start
+    writeback and discard its blocks, about ten times the cost of the
+    write itself.  No fsync: reports make no durability promise.
+    """
+    data = memoryview(text.encode())
+    size = len(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+        os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
+
+
 def _dump_json(obj, path: Path):
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_report(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _csv_mirror(result: CheckResult, prefix: Path) -> list[str]:
@@ -680,8 +703,9 @@ def _csv_mirror(result: CheckResult, prefix: Path) -> list[str]:
     if rows is None:
         return []
     path = Path(f"{prefix}.{result.name}.csv")
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    _write_report(path, text.getvalue())
     return [str(path)]
 
 

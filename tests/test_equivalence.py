@@ -31,7 +31,9 @@ no factorisation on that path.  The last section pins the small side of
 the similarity check: rowspace_gap against subspace_distance, the
 estimate from a coordinate source and the index-map quotient of a union
 of quadrants against the products they replace, byte for byte, and one
-SVD of the random map per check.
+SVD of the random map per check.  The last section pins the R factor of
+a moved system's tall side: its singular values against the SVD's, and
+one factorisation per system in the similarity and equiv-vector checks.
 """
 
 import dataclasses
@@ -1324,17 +1326,65 @@ def test_rowspace_gap_matches_subspace_distance():
         pairs += [(sys, transported(sys, 1)), (transported(sys, 2), transported(sys, 3))]
     for sys in catalog_systems((6, 6)):
         pairs += [(sys, transported(sys, 4)), (transported(sys, 5), transported(sys, 6))]
+    r_cases = 0
     for a, b in pairs:
+        # first gap of a fresh dense b against a full-rank coordinate a: b
+        # takes R, no SVD, and the gap agrees with the Vh gap of today
+        gap = rowspace_gap(a, b)
+        if "_tall_r" in b.__dict__:
+            r_cases += 1
+            assert a._coordinate_entries is not None and a.rank() == b.triple.dim
+            assert "svd" not in b.__dict__ and b.rank() == b.triple.dim
+            assert gap == pytest.approx(ref_gap(a, b), abs=TOL)
+            assert gap == pytest.approx(rowspace_gap(a, b), abs=TOL)  # the Vh gap
         assert a.rank() == b.rank()
         for x, y in ((a, b), (b, a)):
             assert rowspace_gap(x, y) == pytest.approx(ref_gap(x, y), abs=TOL)
 
+    assert r_cases == 9
+
+    # a b whose row space is off a's by up to order 1: the R gap against
+    # the dense reference, in both argument orders
+    rng = np.random.default_rng(20261020)
+    bases = [weighted_shift_system(np.random.default_rng(seed), *case)
+             for seed, case in enumerate(TRANSPORTABLE)]
+    bases += [a for a in catalog_systems((6, 6)) if a._coordinate_entries is not None]
+    bases = [a for a in bases if a.rank() == a.triple.dim < a.ncols]
+    assert len(bases) == 7
+    seen = []
+    for a in bases:
+        l = random_similarity(a.triple.dim, rng)
+        for eps in (1e-9, 1e-5, 1e-1):
+            noise = _random_matrix(rng, a.synthesis.shape, True)
+            off = l @ (a.synthesis + eps * noise)
+            for x, y in ((a, dataclasses.replace(a, synthesis=off)),
+                         (dataclasses.replace(a, synthesis=off), a)):
+                gap = rowspace_gap(x, y)
+                dense = y if x is a else x
+                assert "_tall_r" in dense.__dict__ and "svd" not in dense.__dict__
+                assert gap == pytest.approx(ref_gap(x, y), abs=TOL)
+                seen.append(gap / eps)
+    assert 0.01 < min(seen) and max(seen) < 100.0
+
     full = weighted_shift_system(np.random.default_rng(7), (5, 3), (8, 6))
     cut = weighted_shift_system(np.random.default_rng(8), (5, 3), (8, 6), zero_from=(2, 1))
     assert full.rank() != cut.rank()
-    for a, b in ((full, transported(cut, 9)), (transported(full, 10), transported(cut, 11))):
+    # a rank-deficient b against a full-rank coordinate a takes R, finds
+    # the rank below dim and falls back to the two-term formula
+    deficient = transported(cut, 9)
+    assert full.rank() == deficient.triple.dim
+    assert rowspace_gap(full, deficient) == ref_gap(full, deficient)
+    assert "_tall_r" in deficient.__dict__ and deficient.rank() < deficient.triple.dim
+    for a, b in ((full, deficient), (transported(full, 10), transported(cut, 11))):
         for x, y in ((a, b), (b, a)):
             assert rowspace_gap(x, y) == ref_gap(x, y)
+    # fewer columns than dim: a coordinate rank below dim takes no R
+    short = weighted_shift_system(np.random.default_rng(13), (4, 4), (2, 2))
+    assert short.ncols < short.triple.dim
+    moved = transported(short, 14)
+    gap = rowspace_gap(short, moved)
+    assert "_tall_r" not in moved.__dict__ and "svd" in moved.__dict__
+    assert gap == pytest.approx(ref_gap(short, moved), abs=TOL)
 
     rng = np.random.default_rng(20261019)
     coordinate = [weighted_shift_system(rng, (3, 3), (6, 6), False, (1, 2), (0, 3)),
@@ -1435,3 +1485,92 @@ def test_similarity_check_factorises_its_map_once(monkeypatch):
                         or real_svd(a, *args, **kw))
     assert runner._run_check("similarity", ctx).passed
     assert on_l.count(True) == 1
+
+
+# --- the moved systems' R factor --------------------------------------------
+
+
+def moved_systems(sys, seed):
+    """The moved systems of the similarity and equiv-vector checks over sys:
+    the seeded random similarity, and the seed (I + 0.5 T1 T2) phi."""
+    t = sys.triple
+    v = np.eye(t.dim, dtype=t.T1.dtype) + 0.5 * (t.T1 @ t.T2)
+    return [transported(sys, seed), iterate(t.with_seed(v @ t.phi), sys.horizon)]
+
+
+def test_r_values_match_the_svd_values():
+    """The singular values of the R factor of U^H are those of U, to
+    1e-13 times s0 (largest deviation seen: 4.5e-15 times s0): on the
+    moved similarity and equiv-vector systems of every coordinate catalog
+    base at (6, 6), (12, 12) and (9, 5), and on weighted shift systems
+    with entries from 1e-6 to 1, moved by a seeded complex map."""
+    systems = []
+    for order in [(6, 6), (12, 12), (9, 5)]:
+        for seed, sys in enumerate(catalog_systems(order)):
+            if sys._coordinate_entries is not None:
+                systems += moved_systems(sys, seed)
+    rng = np.random.default_rng(20261019)
+    for case in WEIGHTED_CASES:
+        sys = weighted_shift_system(rng, *case)
+        entries = sys.synthesis * 10.0 ** rng.uniform(-6.0, 0.0, size=sys.ncols)
+        l = random_similarity(sys.triple.dim, rng)
+        systems.append(dataclasses.replace(sys, synthesis=l @ entries))
+    worst = 0.0
+    for sys in systems:
+        if sys.ncols < sys.triple.dim:
+            continue
+        got, ref = sys._tall_r[1], np.linalg.svd(sys.synthesis, compute_uv=False)
+        assert got.shape == ref.shape == (sys.triple.dim,)
+        worst = max(worst, np.abs(got - ref).max() / ref[0])
+    assert len(systems) > 40
+    assert worst <= 1e-13, worst
+
+
+@pytest.mark.filterwarnings("ignore:submodule is approximate")
+@pytest.mark.parametrize("fixture,coordinate", [("inner-z2w", True), ("blaschke-half", False)])
+@pytest.mark.parametrize("check", ["similarity", "equiv-vector"])
+def test_moved_systems_take_one_factorisation(monkeypatch, check, fixture, coordinate):
+    """Over a coordinate base the similarity and equiv-vector checks take
+    one QR, of the moved system's tall side, and no SVD of a synthesis
+    matrix; over a dense base each system takes exactly one SVD and no
+    QR.  (On inner-z2w the map V of equiv-vector is not the identity;
+    blaschke-half at (10, 10) is no frame, so similarity FAILs in
+    uniqueness_of_L, after every factorisation.)"""
+    ctx = runner.RunContext(runner.ExperimentConfig.from_json(
+        {"fixture": fixture, "order": [10, 10], "checks": [check]}))
+    base = ctx.system
+    assert (base._coordinate_entries is not None) == coordinate
+    shape = base.synthesis.shape
+    svds, qrs = [], []
+    real_svd, real_qr = np.linalg.svd, np.linalg.qr
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: (
+        svds.append(a) if np.shape(a) == shape else None) or real_svd(a, *args, **kw))
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: (
+        qrs.append(a.shape)) or real_qr(a, *args, **kw))
+    result = runner._run_check(check, ctx)
+    # the check reached its verdict, or the precondition FAIL named above
+    assert result.data or result.note == "witness uniqueness requires a frame system"
+    if coordinate:
+        assert svds == [] and qrs == [shape[::-1]]
+    else:
+        assert qrs == [] and len(svds) == 2
+        assert svds[0] is base.synthesis and svds[1] is not base.synthesis
+
+
+def test_with_seed_keeps_the_checked_pair(monkeypatch):
+    """with_seed casts the pair when the seed is complex, keeps its
+    comm_residual, checks the seed's length and computes no commutator."""
+    from bidiscframes import frames
+
+    t = next(f for f in CATALOG if f.name == "inner-zw").make_submodule(make_space((4, 4)))
+    triple = triple_from_quotient(quotient(t))
+    monkeypatch.setattr(frames, "opnorm", lambda *args: pytest.fail("commutator recomputed"))
+    real = triple.with_seed(2.0 * triple.phi)
+    assert real.T1 is triple.T1 and real.phi.dtype == np.float64
+    moved = triple.with_seed(1j * triple.phi)
+    assert moved.T1.dtype == moved.T2.dtype == moved.phi.dtype == np.complex128
+    np.testing.assert_array_equal(moved.T1, triple.T1)
+    assert moved.comm_residual == triple.comm_residual and moved.dim == triple.dim
+    with pytest.raises(ValueError, match="seed length"):
+        triple.with_seed(triple.phi[:-1])
+

@@ -174,6 +174,33 @@ def test_csv_mirrors_written(tmp_path):
     assert codim[0] == "order,codimension"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rewritten_reports_are_the_bytes_of_a_fresh_run(tmp_path, fmt):
+    """Reports are rewritten in place and cut at their new end: a prefix
+    that held longer reports ends up with exactly the files and bytes of a
+    fresh run."""
+    def config(order, prefix):
+        return ExperimentConfig.from_json({
+            "order": order, "inner": "zw", "checks": ["frame-bounds", "decay"],
+            "output": str(tmp_path / prefix), "format": fmt})
+
+    run(config([6, 6], "old/r"))
+    before = {p.name: p.stat().st_size for p in (tmp_path / "old").iterdir()}
+    run(config([3, 3], "old/r"))
+    run(config([3, 3], "new/r"))
+    old, new = sorted((tmp_path / "old").iterdir()), sorted((tmp_path / "new").iterdir())
+    assert [p.name for p in old] == [p.name for p in new] == sorted(before)
+    assert len(old) == (6 if fmt == "csv" else 4)
+    for a, b in zip(old, new):
+        if a.name.endswith(".meta.json"):
+            assert json.loads(a.read_text())["files"] == [
+                f.replace("new", "old") for f in json.loads(b.read_text())["files"]]
+        else:
+            assert a.read_bytes() == b.read_bytes(), a.name
+            if ".summary." not in a.name:  # the summary keeps its length
+                assert a.stat().st_size < before[a.name], a.name
+
+
 def test_meta_file_separate_from_reports(tmp_path):
     cfg = ExperimentConfig.from_json(
         {"order": [3, 3], "inner": "z", "checks": ["parseval"],

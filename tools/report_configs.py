@@ -26,9 +26,13 @@ One JSON config per file, all in csv format:
   once through the fixture's chain;
 - inner-z2w at (28, 28) with similarity and equiv-vector: dense moved
   systems over a coordinate base at benchmark scale, where the map V of
-  equiv-vector is not the identity.
+  equiv-vector is not the identity;
+- inner-zw at (8, 8) with horizon (12, 4), with similarity and
+  equiv-vector: a coordinate base of rank 13 below its dimension 17,
+  with 65 columns, so its moved systems take the SVD, not the R factor
+  of their tall side.
 
-177 configs in all.
+178 configs in all.
 
 The codimension check needs an inner recipe, so fixtures without one
 (generated-zw, riesz-model) skip it; every config then runs without a
@@ -94,6 +98,9 @@ def configs() -> dict[str, dict]:
                                            "checks": ["frame-bounds"]}
     out["inner-z2w.similarity-28"] = {"fixture": "inner-z2w", "order": [28, 28],
                                       "checks": ["similarity", "equiv-vector"]}
+    out["inner-zw.similarity-8-horizon-12-4"] = {"fixture": "inner-zw", "order": [8, 8],
+                                                 "horizon": [12, 4],
+                                                 "checks": ["similarity", "equiv-vector"]}
     for cfg in out.values():
         cfg["format"] = "csv"
     return out
