@@ -212,6 +212,23 @@ def masked_complement(k_onb, keep):
     return u[:, :rank], block.shape[0] - rank
 
 
+def coordinate_entries(a):
+    """(rows, entries) when every row and every column of a holds at most
+    one nonzero entry, else None: column c holds entries[c] in row rows[c]
+    and is zero elsewhere (a zero column has entry 0).  O(m n), with no
+    arithmetic.  The one coordinate test, of a quotient's K (n x 0 when
+    trivial) and of synthesis matrices; no rows or a nonfinite entry: None.
+    """
+    nonzero = a != 0
+    if (not a.shape[0]
+            or np.count_nonzero(nonzero, axis=0).max(initial=0) > 1
+            or np.count_nonzero(nonzero, axis=1).max() > 1):
+        return None
+    rows = nonzero.argmax(axis=0)
+    entries = a[rows, np.arange(a.shape[1])]
+    return (rows, entries) if np.isfinite(entries).all() else None
+
+
 def _index_set_residual(inside: np.ndarray):
     """(residual, dim) of the double-commutation test along (z, w) on the
     span of the coordinate vectors e_(i,j), (i, j) in the index set

@@ -56,6 +56,7 @@ import numpy as np
 from ._linalg import (
     _index_set_residual,
     compressed_commutator_residual,
+    coordinate_entries,
     hermitian_extremes,
     iterate_grid,
     masked_complement,
@@ -125,7 +126,9 @@ class OperatorTriple:
     every iterate system built on the triple runs in real arithmetic, and
     complex128 as soon as one is complex.  Arrays already of that dtype
     are not copied; treat them as read-only.  Construction fails unless
-    the pair commutes to 1e-10 in spectral norm.
+    the pair commutes to 1e-10 in spectral norm.  A triple from a quotient
+    (models.triple_from_quotient) or from with_seed reuses the residual
+    the package already computed on the same pair.
     """
 
     T1: np.ndarray
@@ -135,43 +138,42 @@ class OperatorTriple:
     comm_residual: float = field(init=False)
 
     def __post_init__(self):
-        dtype = np.result_type(self.T1, self.T2, self.phi, np.float64)
-        t1 = np.asarray(self.T1, dtype=dtype)
-        t2 = np.asarray(self.T2, dtype=dtype)
-        phi = np.asarray(self.phi, dtype=dtype).reshape(-1)
+        self._store(self.T1, self.T2, self.phi, None)
+
+    def _store(self, t1, t2, phi, comm):
+        """Cast to the common dtype, check the shapes, refuse a residual
+        comm = ||T1 T2 - T2 T1|| (None: computed here) above COMM_TOL."""
+        dtype = np.result_type(t1, t2, phi, np.float64)
+        t1 = np.asarray(t1, dtype=dtype)
+        t2 = np.asarray(t2, dtype=dtype)
+        phi = np.asarray(phi, dtype=dtype).reshape(-1)
         n = phi.shape[0]
         if t1.shape != (n, n) or t2.shape != (n, n):
             raise ValueError(
                 f"operator shapes {t1.shape}, {t2.shape} do not match seed length {n}"
             )
-        comm = opnorm(t1 @ t2 - t2 @ t1)
+        if comm is None:
+            comm = opnorm(t1 @ t2 - t2 @ t1)
         if comm > COMM_TOL:
             raise PreconditionError(f"operators do not commute: residual {comm:.3e}")
-        object.__setattr__(self, "T1", t1)
-        object.__setattr__(self, "T2", t2)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "comm_residual", float(comm))
+        for name, value in (("T1", t1), ("T2", t2), ("phi", phi), ("dim", n),
+                            ("comm_residual", float(comm))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _checked(cls, t1, t2, phi, comm: float) -> "OperatorTriple":
+        """The triple of a pair whose commutator residual comm is known."""
+        triple = object.__new__(cls)
+        triple._store(t1, t2, phi, comm)
+        return triple
 
     def with_seed(self, phi) -> "OperatorTriple":
         """The triple of this checked pair with another seed.
 
-        The pair is not checked again: it keeps comm_residual, and it is
-        cast to complex128 only when the seed is complex.
+        The pair is not multiplied again: it keeps comm_residual, and it
+        is cast to complex128 only when the seed is complex.
         """
-        dtype = np.result_type(self.T1, phi, np.float64)
-        phi = np.asarray(phi, dtype=dtype).reshape(-1)
-        if phi.shape[0] != self.dim:
-            raise ValueError(
-                f"seed length {phi.shape[0]} does not match operator dimension {self.dim}"
-            )
-        moved = object.__new__(OperatorTriple)
-        for name, value in (("T1", np.asarray(self.T1, dtype=dtype)),
-                            ("T2", np.asarray(self.T2, dtype=dtype)),
-                            ("phi", phi), ("dim", self.dim),
-                            ("comm_residual", self.comm_residual)):
-            object.__setattr__(moved, name, value)
-        return moved
+        return OperatorTriple._checked(self.T1, self.T2, phi, self.comm_residual)
 
 
 @dataclass(frozen=True)
@@ -217,25 +219,9 @@ class IterateSystem:
 
     @cached_property
     def _coordinate_entries(self):
-        """(rows, entries) when every row and every column of the synthesis
-        matrix holds at most one nonzero entry, else None: column c holds
-        entries[c] in row rows[c] and is zero elsewhere (a zero column has
-        entry 0).  O(dim ncols), with no arithmetic on the entries.
-
-        Then U^H U is diagonal: each iterate is a multiple of one
-        coordinate vector, as for the two-variable Jordan block of a
-        union-of-quadrant quotient, and every check reads its numbers off
-        the entries.  An empty matrix (dim 0) and a nonfinite entry keep
-        the dense path.
-        """
-        nonzero = self.synthesis != 0
-        if (not self.triple.dim
-                or np.count_nonzero(nonzero, axis=0).max() > 1
-                or np.count_nonzero(nonzero, axis=1).max() > 1):
-            return None
-        rows = nonzero.argmax(axis=0)
-        entries = self.synthesis[rows, np.arange(self.ncols)]
-        return (rows, entries) if np.isfinite(entries).all() else None
+        """(rows, entries) when the synthesis matrix is coordinate (see
+        _linalg.coordinate_entries), else None; dim 0 keeps the dense path."""
+        return coordinate_entries(self.synthesis)
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -60,6 +60,8 @@ class InnerSpec:
         out = []
         for zero in zeros:
             zc = complex(zero)
+            if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
+                raise ValueError(f"zero {zc} is not finite")
             if zc == 0:
                 raise ValueError(
                     "zero at the origin: use a monomial factor instead"

@@ -107,11 +107,12 @@ def triple_from_quotient(quot: QuotientModel) -> OperatorTriple:
 
     A trivial quotient (the submodule fills the box) has no triple: that
     is a false precondition of every check that iterates, raised as
-    PreconditionError.
+    PreconditionError.  The triple takes the comm_residual quotient()
+    computed on these very arrays, so the pair is not multiplied again.
     """
     if quot.trivial:
         raise PreconditionError("trivial quotient has no operator triple")
-    return OperatorTriple(T1=quot.jordan_z, T2=quot.jordan_w, phi=quot.seed)
+    return OperatorTriple._checked(quot.jordan_z, quot.jordan_w, quot.seed, quot.comm_residual)
 
 
 def _conjugate(l: np.ndarray, a: np.ndarray) -> np.ndarray:

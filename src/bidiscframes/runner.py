@@ -434,16 +434,15 @@ def _check_codimension(ctx: RunContext) -> CheckResult:
     )
 
 
+def _fields(rep, *names) -> dict:
+    """The named fields of a report, as check data under the same keys."""
+    return {name: getattr(rep, name) for name in names}
+
+
 def _check_mandrekar(ctx: RunContext) -> CheckResult:
     rep = doubly_commute_test(ctx.submodule)
-    data = {
-        "residual_interior": rep.residual_interior,
-        "verdict": rep.verdict,
-        "residual_z": rep.residual_z,
-        "residual_w": rep.residual_w,
-        "n_interior_z": rep.n_interior_z,
-        "n_interior_w": rep.n_interior_w,
-    }
+    data = _fields(rep, "residual_interior", "verdict", "residual_z", "residual_w",
+                   "n_interior_z", "n_interior_w")
     note = "double-commutation holds" if rep.verdict else "double-commutation fails"
     return CheckResult("mandrekar", True, data, note=note)
 
@@ -468,40 +467,26 @@ def _check_frame_bounds(ctx: RunContext) -> CheckResult:
     return CheckResult("frame-bounds", rep.is_frame, rep.to_dict())
 
 
-def _check_kernel_invariance(ctx: RunContext) -> CheckResult:
-    rep = kernel_shift_invariance(ctx.system)
+def _kernel_check(name: str, rep, *names) -> CheckResult:
+    """The one rule of the kernel checks: an inconclusive report passes
+    with no residual, any other passes when it is vacuous or its residual
+    is at most 1e-8, and the data holds the named report fields."""
     if rep.inconclusive:
-        return CheckResult(
-            "kernel-invariance", True,
-            {"inconclusive": True, "n_checked": 0}, note=rep.message,
-        )
+        return CheckResult(name, True, {"inconclusive": True, "n_checked": 0},
+                           note=rep.message)
     passed = rep.vacuous or rep.residual <= 1e-8
-    data = {
-        "residual": rep.residual,
-        "vacuous": rep.vacuous,
-        "inconclusive": rep.inconclusive,
-        "n_checked": rep.n_checked,
-    }
-    return CheckResult("kernel-invariance", passed, data, note=rep.message)
+    return CheckResult(name, passed, _fields(rep, *names), note=rep.message)
+
+
+def _check_kernel_invariance(ctx: RunContext) -> CheckResult:
+    return _kernel_check("kernel-invariance", kernel_shift_invariance(ctx.system),
+                         "residual", "vacuous", "inconclusive", "n_checked")
 
 
 def _check_kernel_commutes(ctx: RunContext) -> CheckResult:
-    rep = kernel_doubly_commutes(ctx.system)
-    if rep.inconclusive:
-        return CheckResult(
-            "kernel-doubly-commutes", True,
-            {"inconclusive": True, "n_checked": 0}, note=rep.message,
-        )
-    passed = rep.vacuous or rep.residual <= 1e-8
-    data = {
-        "residual": rep.residual,
-        "verdict": rep.verdict,
-        "vacuous": rep.vacuous,
-        "residual_z": rep.residual_z,
-        "residual_w": rep.residual_w,
-        "n_checked": rep.n_checked,
-    }
-    return CheckResult("kernel-doubly-commutes", passed, data, note=rep.message)
+    return _kernel_check("kernel-doubly-commutes", kernel_doubly_commutes(ctx.system),
+                         "residual", "verdict", "vacuous", "residual_z", "residual_w",
+                         "n_checked")
 
 
 def _check_riesz(ctx: RunContext) -> CheckResult:
@@ -525,6 +510,9 @@ def _check_similarity(ctx: RunContext) -> CheckResult:
     # one SVD of L serves the cap, the witness and the uniqueness test
     l, svals = random_similarity(ctx.triple.dim, rng, condition_cap=cap, return_svals=True)
     moved_triple, witness = transport(ctx.triple, l, condition_cap=cap, svals=svals)
+    if not base.is_frame:
+        # uniqueness_of_L would refuse it last: no moved system is built
+        raise PreconditionError("witness uniqueness requires a frame system")
     moved_sys = iterate(moved_triple, ctx.cfg.horizon)
     # kernel gap = row-space gap, since P_N = I - P_R; taken first, so that
     # over a coordinate base the moved report reads the gap's R factor

@@ -60,6 +60,7 @@ import numpy as np
 from ._linalg import (
     _index_set_residual,
     compressed_commutator_residual,
+    coordinate_entries,
     iterate_grid,
     kronecker_split,
     opnorm,
@@ -309,14 +310,6 @@ def zero_submodule(space: TruncatedSpace) -> SubmoduleModel:
                           rank=rank, **basis)
 
 
-def _coordinate_rows(onb_k):
-    """r with column j of onb_k equal to e_(r[j]) for every j, or None."""
-    cols, rows = np.nonzero(onb_k.T)
-    if cols.size != onb_k.shape[1] or not np.array_equal(cols, np.arange(cols.size)):
-        return None
-    return rows if (onb_k[rows, cols] == 1.0).all() else None
-
-
 def _index_compression(rows, space: TruncatedSpace, axis: str, dtype) -> np.ndarray:
     """S[rows][:, rows] for the box shift S along axis, as an index map:
     entry (a, b) is 1 when the shift moves monomial rows[b] to rows[a].
@@ -351,10 +344,16 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
     ||P^2 - P|| = ||K (K^H K - I) K^H|| <= e (1 + e) with e = ||K^H K - I||.
 
     On a union of quadrants (onb_rows), K is the coordinate vectors of the
-    missing monomials, so both certificates are index-set tests (they
-    vanish when the missing indices are distinct and disjoint from
-    onb_rows) and the compressed shifts are the submatrices S[rows][:, rows]
-    of the box shifts, built as index maps with no product.
+    missing monomials: the one coordinate test (_linalg.coordinate_entries,
+    which refuses a repeated row) confirms it, every entry 1.0.  Then
+    ||K^H K - I|| vanishes, ||Q^H K|| is an index-set test (0 when the
+    missing indices avoid onb_rows), and the compressed shifts are the
+    submatrices S[rows][:, rows] of the box shifts, built as index maps
+    with no product.  A K that fails the test takes the dense certificates.
+
+    comm_residual is ||J_z J_w - J_w J_z|| of the arrays the quotient
+    holds; triple_from_quotient hands it to the triple, so the pair's
+    commutator is formed once per chain.
     """
     space = sub.space
     onb_k = sub.complement
@@ -364,10 +363,11 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
     if k == 0:
         warnings.warn("trivial quotient: submodule fills the whole box", stacklevel=2)
 
-    rows = _coordinate_rows(onb_k) if sub.onb_rows is not None else None
+    hits = coordinate_entries(onb_k) if sub.onb_rows is not None else None
+    # distinct rows, each column a coordinate vector: K^H K = I exactly
+    rows = hits[0] if hits is not None and (hits[1] == 1.0).all() else None
     orth = cross = 0.0
-    # np.bincount, not np.unique, whose first call imports numpy.ma (0.8 MB)
-    if rows is None or np.bincount(rows).max(initial=0) > 1:
+    if rows is None:
         orth = opnorm(onb_k.conj().T @ onb_k - np.eye(k))
     if rows is None or np.isin(rows, sub.onb_rows).any():
         cross = opnorm(sub.onb_adjoint(onb_k))

@@ -64,11 +64,11 @@ def test_report_configs_writes_configs_the_runner_accepts(tmp_path, capsys):
     # benchmark configs, four monomial inners at (28, 28), the shift
     # pair at (24, 24), the shift pair at (9, 4) by the riesz check and
     # by the riesz-model fixture, inner-z2w at (28, 28) with similarity
-    # and equiv-vector, and inner-zw at (8, 8) with horizon (12, 4) and the
-    # same two checks
+    # and equiv-vector, inner-zw at (8, 8) with horizon (12, 4) and the
+    # same two checks, and the constant inner at (3, 3) with all checks
     with_inner = sum(f.spec is not None for f in CATALOG)
     singles = len(CATALOG) * len(CHECK_NAMES) - (len(CATALOG) - with_inner)
-    assert len(paths) == singles + 2 * len(CATALOG) + 3 * 6 + 3 + 3 + 3 + 4 + 1 + 2 + 1 + 1
+    assert len(paths) == singles + 2 * len(CATALOG) + 3 * 6 + 3 + 3 + 3 + 4 + 1 + 2 + 1 + 1 + 1
     for path in paths:
         cfg = ExperimentConfig.from_json(json.loads(path.read_text()))
         assert cfg.fmt == "csv" and cfg.checks

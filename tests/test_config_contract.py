@@ -45,6 +45,9 @@ BASE = {"fixture": "inner-zw", "checks": ["build-module"]}
         ({"seed": -1}, "seed must be nonnegative"),
         ({"transport": {"seed": -3}}, "transport seed must be nonnegative"),
         ({"transport": {"sed": 5}}, "unknown transport keys: sed"),
+        ({"fixture": None, "order": [4, 4],
+          "inner": {"kind": "blaschke_z", "zeros": [[float("nan"), 0]]}},
+         "zero (nan+0j) is not finite"),
     ],
 )
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, patch, message):

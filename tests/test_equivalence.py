@@ -30,8 +30,10 @@ against the dense references, the dense path for one extra entry, and
 no factorisation on that path.  The last section pins the small side of
 the similarity check: rowspace_gap against subspace_distance, the
 estimate from a coordinate source and the index-map quotient of a union
-of quadrants against the products they replace, byte for byte, and one
-SVD of the random map per check.  The last section pins the R factor of
+of quadrants against the products they replace, byte for byte, the one
+coordinate test against the column test it replaced, the triple of a
+quotient against the constructor's, and one SVD of the random map per
+check.  The last section pins the R factor of
 a moved system's tall side: its singular values against the SVD's, and
 one factorisation per system in the similarity and equiv-vector checks.
 """
@@ -39,6 +41,7 @@ one factorisation per system in the similarity and equiv-vector checks.
 import dataclasses
 import gc
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -54,6 +57,7 @@ from bidiscframes import runner
 from bidiscframes._linalg import (
     canonical_basis,
     compressed_commutator_residual,
+    coordinate_entries,
     iterate_grid,
     opnorm,
     orthonormal_split,
@@ -1427,6 +1431,25 @@ def test_estimate_from_a_coordinate_source_is_the_product():
         assert got.tobytes() == ref.tobytes()
 
 
+def ref_coordinate_rows(onb_k):
+    """The column test the quotient used to make of K: r with column j of
+    onb_k equal to e_(r[j]) for every j, or None (rows may repeat)."""
+    cols, rows = np.nonzero(onb_k.T)
+    if cols.size != onb_k.shape[1] or not np.array_equal(cols, np.arange(cols.size)):
+        return None
+    return rows if (onb_k[rows, cols] == 1.0).all() else None
+
+
+def index_map_modules(rng):
+    """The modules test_index_map_quotient_matches_the_products builds,
+    from the same seed."""
+    subs = [f.make_submodule(make_space(order)) for f in CATALOG for order in [(6, 6), (9, 5)]]
+    subs = [s for s in subs if s.onb_rows is not None]
+    subs += [random_quadrant_module(rng, order) for order in QUADRANT_ORDERS for _ in range(3)]
+    subs += [zero_submodule(make_space(order)) for order in [(0, 0), (3, 0), (4, 6)]]
+    return subs
+
+
 @pytest.mark.filterwarnings("ignore:trivial quotient", "ignore:submodule is approximate")
 def test_index_map_quotient_matches_the_products(monkeypatch):
     """On a union of quadrants the compressed shifts are the index-map
@@ -1468,6 +1491,110 @@ def test_index_map_quotient_keeps_its_certificates():
     for bad in (repeated, inside):
         with pytest.raises(RuntimeError, match="complement defect"):
             quotient(dataclasses.replace(sub, complement=bad))
+
+
+def test_coordinate_entries_edge_cases():
+    """One nonzero at most per row and per column: an n x 0 matrix passes
+    with no entries, a matrix with no rows, a repeated row and a NaN entry
+    do not, a zero column has entry 0, and complex entries keep their
+    values."""
+    rows, entries = coordinate_entries(np.zeros((4, 0)))
+    assert rows.shape == entries.shape == (0,)
+    assert coordinate_entries(np.zeros((0, 3))) is None
+    assert coordinate_entries(np.zeros((0, 0))) is None
+    rows, entries = coordinate_entries(np.array([[0.0, 0.0, 2.0], [0.0, -3.0, 0.0]]))
+    assert rows[1:].tolist() == [1, 0] and entries.tolist() == [0.0, -3.0, 2.0]
+    assert coordinate_entries(np.array([[1.0, 1.0], [0.0, 0.0]])) is None
+    assert coordinate_entries(np.array([[1.0, 0.0], [1.0, 0.0]])) is None
+    assert coordinate_entries(np.array([[np.nan, 0.0], [0.0, 1.0]])) is None
+    assert coordinate_entries(np.array([[np.inf, 0.0], [0.0, 1.0]])) is None
+    rows, entries = coordinate_entries(np.array([[0.0, 1j], [2.0 - 1j, 0.0]]))
+    assert rows.tolist() == [1, 0] and entries.tolist() == [2.0 - 1j, 1j]
+    assert entries.dtype == np.complex128
+
+
+@pytest.mark.filterwarnings("ignore:submodule is approximate")
+def test_coordinate_entries_agrees_with_the_column_test():
+    """On every K of the index-map quotients, and on those K with a column
+    made a repeat, off the coordinate axes or zero, the one coordinate
+    test with every entry 1.0 gives the rows the old column test gave;
+    a repeated row, which the column test let through to the K^H K
+    certificate, it refuses itself."""
+    checked = 0
+    for sub in index_map_modules(np.random.default_rng(20261019)):
+        k = sub.complement
+        variants = [k]
+        if k.shape[1] >= 2:
+            repeated = k.copy()
+            repeated[:, 1] = repeated[:, 0]
+            variants.append(repeated)
+        if k.shape[1] and k.shape[0] >= 2:
+            spread, zero = k.copy(), k.copy()
+            spread[:, 0] = np.sqrt(0.5) * (k[:, 0] + np.roll(k[:, 0], 1))
+            zero[:, 0] = 0.0
+            variants += [spread, zero]
+        for a in variants:
+            hits = coordinate_entries(a)
+            got = hits[0] if hits is not None and (hits[1] == 1.0).all() else None
+            ref = ref_coordinate_rows(a)
+            if ref is not None and np.bincount(ref).max(initial=0) > 1:
+                assert got is None  # the repeated column
+            else:
+                assert (got is None) == (ref is None)
+                if got is not None:
+                    assert np.array_equal(got, ref)
+                    checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.filterwarnings("ignore:trivial quotient", "ignore:submodule is approximate",
+                            "ignore:compressed shifts commute")
+def test_triple_from_quotient_is_the_constructor_triple(monkeypatch):
+    """triple_from_quotient multiplies no pair, yet gives the triple
+    OperatorTriple(J_z, J_w, seed) builds: the same array bytes and
+    dtype, dim, and comm_residual exactly.  A pair that fails to commute
+    raises the constructor's PreconditionError with its text."""
+    from bidiscframes import frames
+
+    rng = np.random.default_rng(20261020)
+    subs = [f.make_submodule(make_space(order)) for f in CATALOG for order in [(6, 6), (9, 5)]]
+    subs += [random_quadrant_module(rng, order) for order in QUADRANT_ORDERS for _ in range(3)]
+    subs += [zero_submodule(make_space(order)) for order in [(0, 0), (3, 0), (4, 6)]]
+    subs += [beurling_submodule(build_inner(COMPLEX_SPEC, order), make_space(order))
+             for order in [(6, 6), (9, 5)]]
+    subs += [random_generated_module(rng) for _ in range(12)]
+    product = next(f for f in CATALOG if f.name == "blaschke-product")
+    subs.append(product.make_submodule(make_space(product.order)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("commutator formed again")
+
+    dtypes, refused = set(), 0
+    for sub in subs:
+        quot = quotient(sub)
+        if quot.trivial:
+            continue
+        try:
+            ref = OperatorTriple(quot.jordan_z, quot.jordan_w, quot.seed)
+        except PreconditionError as exc:
+            ref, text = None, str(exc)
+        with monkeypatch.context() as patch:
+            patch.setattr(frames, "opnorm", refuse)
+            if ref is None:
+                with pytest.raises(PreconditionError, match=re.escape(text)):
+                    triple_from_quotient(quot)
+                refused += 1
+                continue
+            got = triple_from_quotient(quot)
+        for name in ("T1", "T2", "phi"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert got.dim == ref.dim and got.comm_residual == ref.comm_residual
+        dtypes.add(got.T1.dtype)
+    assert dtypes == {np.dtype(np.float64), np.dtype(np.complex128)} and refused >= 1
+    with pytest.raises(PreconditionError, match="operators do not commute: residual"):
+        triple_from_quotient(quotient(subs[-1]))
 
 
 def test_similarity_check_factorises_its_map_once(monkeypatch):
@@ -1534,8 +1661,8 @@ def test_moved_systems_take_one_factorisation(monkeypatch, check, fixture, coord
     one QR, of the moved system's tall side, and no SVD of a synthesis
     matrix; over a dense base each system takes exactly one SVD and no
     QR.  (On inner-z2w the map V of equiv-vector is not the identity;
-    blaschke-half at (10, 10) is no frame, so similarity FAILs in
-    uniqueness_of_L, after every factorisation.)"""
+    blaschke-half at (10, 10) is no frame, so similarity FAILs right
+    after transport, and only the base is factorised.)"""
     ctx = runner.RunContext(runner.ExperimentConfig.from_json(
         {"fixture": fixture, "order": [10, 10], "checks": [check]}))
     base = ctx.system
@@ -1552,6 +1679,9 @@ def test_moved_systems_take_one_factorisation(monkeypatch, check, fixture, coord
     assert result.data or result.note == "witness uniqueness requires a frame system"
     if coordinate:
         assert svds == [] and qrs == [shape[::-1]]
+    elif check == "similarity":
+        assert result.note == "witness uniqueness requires a frame system"
+        assert qrs == [] and len(svds) == 1 and svds[0] is base.synthesis
     else:
         assert qrs == [] and len(svds) == 2
         assert svds[0] is base.synthesis and svds[1] is not base.synthesis

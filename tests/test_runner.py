@@ -99,6 +99,39 @@ def test_mandrekar_failure_recorded_not_fatal():
     assert out.results[0].data["verdict"] is False
 
 
+KERNEL_CHECKS = ["kernel-invariance", "kernel-doubly-commutes"]
+
+
+@pytest.mark.filterwarnings("ignore:submodule is approximate")
+def test_kernel_checks_pass_an_inconclusive_report_without_residuals():
+    """The complex z-Blaschke factor at (4, 4) has its synthesis kernel on
+    the outer rim of the horizon, so neither kernel check has a vector to
+    test: each passes with the data {inconclusive, n_checked 0} and the
+    report's message as its note."""
+    out = run(ExperimentConfig.from_json(
+        {"order": [4, 4], "inner": {"kind": "blaschke_z", "zeros": [[0.3, 0.4]]},
+         "checks": KERNEL_CHECKS}))
+    assert out.exit_code == 0 and [r.name for r in out.results] == KERNEL_CHECKS
+    for r in out.results:
+        assert r.passed and r.data == {"inconclusive": True, "n_checked": 0}
+        assert r.note == "kernel supported only on the outer rim; enlarge horizon"
+
+
+@pytest.mark.filterwarnings("ignore:submodule is approximate")
+@pytest.mark.parametrize("fixture,vacuous", [("blaschke-half", False), ("riesz-model", True)])
+def test_kernel_checks_report_their_fields(fixture, vacuous):
+    """A conclusive kernel check passes on a small residual, or when it is
+    vacuous, and its data holds the report's fields under their names."""
+    out = run(ExperimentConfig.from_json({"fixture": fixture, "checks": KERNEL_CHECKS}))
+    inv, com = (r.data for r in out.results)
+    assert out.exit_code == 0
+    assert set(inv) == {"residual", "vacuous", "inconclusive", "n_checked"}
+    assert set(com) == {"residual", "verdict", "vacuous", "residual_z", "residual_w",
+                        "n_checked"}
+    assert inv["vacuous"] is com["vacuous"] is vacuous and inv["inconclusive"] is False
+    assert (inv["n_checked"] == 0) == (com["n_checked"] == 0) == vacuous
+
+
 def test_empty_checks_empty_summary():
     out = run(ExperimentConfig.from_json({"order": [4, 4], "inner": "zw"}))
     assert out.exit_code == 0

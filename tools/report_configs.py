@@ -30,9 +30,11 @@ One JSON config per file, all in csv format:
 - inner-zw at (8, 8) with horizon (12, 4), with similarity and
   equiv-vector: a coordinate base of rank 13 below its dimension 17,
   with 65 columns, so its moved systems take the SVD, not the R factor
-  of their tall side.
+  of their tall side;
+- the constant inner at (3, 3) with all checks: the one config whose
+  quotient is trivial, so its complement basis K has no columns.
 
-178 configs in all.
+179 configs in all.
 
 The codimension check needs an inner recipe, so fixtures without one
 (generated-zw, riesz-model) skip it; every config then runs without a
@@ -101,6 +103,8 @@ def configs() -> dict[str, dict]:
     out["inner-zw.similarity-8-horizon-12-4"] = {"fixture": "inner-zw", "order": [8, 8],
                                                  "horizon": [12, 4],
                                                  "checks": ["similarity", "equiv-vector"]}
+    out["constant-inner.all-3"] = {"inner": {"kind": "monomial", "degree": [0, 0]},
+                                   "order": [3, 3], "checks": list(CHECK_NAMES)}
     for cfg in out.values():
         cfg["format"] = "csv"
     return out
