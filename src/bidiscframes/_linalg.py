@@ -24,26 +24,34 @@ DEFAULT_RANK_TOL = 1e-10
 PIVOT_TIE = 1e-8
 
 
+def _rescaled(a) -> tuple[np.ndarray, float]:
+    """(a / top, top) when the largest |entry| top of a lies outside
+    [1e-100, 1e100], else (a, 1.0), so that a Gram of the result neither
+    underflows nor overflows; (a, 0.0) for a zero or empty matrix.  NaN
+    entries raise LinAlgError, as the SVD does."""
+    top = float(np.abs(a).max(initial=0.0))
+    if math.isnan(top):
+        raise np.linalg.LinAlgError("spectral norm of a matrix with NaN entries")
+    if top == 0.0:
+        return a, 0.0
+    if 1e-100 <= top <= 1e100:
+        return a, 1.0
+    return a / top, top
+
+
 def opnorm(a) -> float:
     """Spectral norm; 0.0 for empty matrices.
 
     The square root of the largest eigenvalue of the Gram matrix on the
     smaller side, A^H A or A A^H, by eigvalsh: O(m n min(m, n)) with no
     SVD.  A matrix whose largest |entry| lies outside [1e-100, 1e100] is
-    first divided by that entry, so its Gram neither underflows nor
-    overflows.  NaN entries raise LinAlgError, as the SVD does.
+    first divided by that entry (_rescaled), so its Gram neither
+    underflows nor overflows.  NaN entries raise LinAlgError, as the SVD
+    does.
     """
-    a = np.asarray(a)
-    if a.size == 0:
+    a, scale = _rescaled(np.asarray(a))
+    if scale == 0.0:
         return 0.0
-    top = float(np.abs(a).max())
-    if math.isnan(top):
-        raise np.linalg.LinAlgError("spectral norm of a matrix with NaN entries")
-    if top == 0.0:
-        return 0.0
-    scale = 1.0
-    if not 1e-100 <= top <= 1e100:
-        a, scale = a / top, top
     gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
     return scale * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 

@@ -169,7 +169,7 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
     moved = iterate(triple.with_seed(v @ triple.phi), base.horizon)
     # the kernels agree exactly when their complements, the row spaces, do;
     # the gap is taken first, so that over a coordinate base the moved
-    # report reads the gap's R factor
+    # report reads the values the gap cached
     gap = rowspace_gap(base, moved)
     moved_report = frame_bounds(moved)
 

@@ -15,15 +15,15 @@ Each system factorises its synthesis matrix once, cached on the system.
 As a rule that is one thin SVD, which gives the frame bounds, the rank,
 the kernel dimension and the row space.  A system whose singular vectors
 nobody reads, such as the moved system of the similarity checks over a
-coordinate base, takes instead the k x k R factor of its tall side
-(U^H = Q R when ncols >= dim): R has the singular values of U, and the
-row space of U is the range of Q = U^H R^-1, so rowspace_gap reads the
-gap to a coordinate row space off R as well.  The rank and the frame
-report read whichever of the two the system holds.  The bound trace
-over square sub-horizons is built only when read, on the smaller side
-of each corner, and cached beside the factorisation.  The iterates are
-kept once, as the synthesis matrix, which iterate() marks read-only, so
-no cache can go stale.
+coordinate base of rank k, takes no factorisation of its synthesis
+matrix at all: rowspace_gap reads both the gap and the singular values
+off its k x k block B on the base's rank columns (U = B [I | X] up to
+the column order, so the gap is sin(arctan ||X||) and U U^H = B (I +
+X X^H) B^H).  The rank and the frame report read whichever values the
+system holds.  The bound trace over square sub-horizons is built only
+when read, on the smaller side of each corner, and cached beside the
+factorisation.  The iterates are kept once, as the synthesis matrix,
+which iterate() marks read-only, so no cache can go stale.
 
 A coordinate synthesis matrix, with at most one nonzero entry in every
 row and every column, takes no factorisation.  Its iterates are
@@ -39,12 +39,13 @@ residual is the largest |entry| among the shifted kernel columns.  Both
 residuals are exact (0.0 or 1.0, and 0.0 or an entry modulus), with no
 masked_complement.  Every other system takes the dense path.  The
 row-space gap of two systems (rowspace_gap) reads a coordinate row space
-by its rank set, with no product, against the other system's R when
-that system has full row rank and no SVD yet.
+by its rank set, with no product, against the other system's k x k block
+when the coordinate one has full row rank and the other no SVD yet.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import weakref
 from dataclasses import dataclass, field
@@ -55,6 +56,7 @@ import numpy as np
 
 from ._linalg import (
     _index_set_residual,
+    _rescaled,
     compressed_commutator_residual,
     coordinate_entries,
     hermitian_extremes,
@@ -105,6 +107,13 @@ class InvariantViolation(RuntimeError):
 class PreconditionError(ValueError):
     """The hypothesis of a mathematical test is false for its input (for
     example "not a frame"); the runner records it as that check's FAIL."""
+
+
+def _numerical_rank(s: np.ndarray) -> int:
+    """The singular values s (descending) above KERNEL_RTOL times the
+    largest; 0 when there are none or the largest is 0."""
+    smax = s[0] if s.size else 0.0
+    return int(np.sum(s > KERNEL_RTOL * smax)) if smax > 0.0 else 0
 
 
 def _dim_limit() -> int:
@@ -181,11 +190,12 @@ class IterateSystem:
     """All iterates of the seed inside a horizon box, as their synthesis
     matrix (dim x n_columns, columns in row-major horizon order).
 
-    The thin SVD of the synthesis matrix (or, for rowspace_gap, the R
-    factor of its tall side) and the bound trace are computed on first use
-    and cached on the system.  The frame report reads its bounds off the
-    singular values the system holds, so a report whose trace nobody
-    reads never builds it.  iterate() makes synthesis, and so its view
+    The thin SVD of the synthesis matrix (or, from rowspace_gap, the
+    singular values of its k x k block, see _block_gap), the row space
+    read off the SVD and the bound trace are computed on first use and
+    cached on the system.  The frame
+    report reads its bounds off the singular values the system holds, so
+    a report whose trace nobody reads never builds it.  iterate() makes synthesis, and so its view
     vectors, read-only.
     """
 
@@ -257,33 +267,30 @@ class IterateSystem:
         vh[np.arange(m), np.concatenate([cols, np.flatnonzero(free_cols)[: m - r]])] = 1.0
         return u, s, vh
 
-    @cached_property
-    def _tall_r(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R, singular values): the dim x dim R factor of the QR of the
-        tall side U^H (ncols >= dim), and its singular values, which are
-        those of U (T. F. Chan, ACM TOMS 8, 1982).
-
-        Taken only by rowspace_gap, for a system with no SVD whose
-        vectors nobody reads: it costs a QR and a dim x dim values-only
-        SVD where the thin SVD costs several times more.
-        """
-        r = np.linalg.qr(self.synthesis.conj().T, mode="r")
-        return r, np.linalg.svd(r, compute_uv=False)
-
     @property
     def _singular_values(self) -> np.ndarray:
-        """The singular values, read off the factorisation the system
-        already holds: the SVD, else R (see _tall_r), else a new SVD."""
-        if "svd" not in self.__dict__ and "_tall_r" in self.__dict__:
-            return self._tall_r[1]
+        """The singular values, read off what the system already holds:
+        the SVD, else the values rowspace_gap cached from the system's
+        k x k block (see _block_gap), else a new SVD."""
+        if "svd" not in self.__dict__ and "_block_values" in self.__dict__:
+            return self.__dict__["_block_values"]
         return self.svd[1]
+
+    @cached_property
+    def _rowspace(self) -> np.ndarray:
+        """The orthonormal row-space basis synthesis_rowspace returns: one
+        read-only, C-contiguous copy of the leading rows of Vh, conjugate
+        transposed, made once per system, so that every product with it
+        rounds the same whichever caller reads it."""
+        vh = self.svd[2][: self.rank()]
+        rows = np.conjugate(vh.T, out=np.empty(vh.shape[::-1], dtype=vh.dtype))
+        rows.flags.writeable = False
+        return rows
 
     def rank(self) -> int:
         """Numerical rank of the synthesis matrix: the singular values
         above KERNEL_RTOL times the largest (0 for a zero matrix)."""
-        s = self._singular_values
-        smax = s[0] if s.size else 0.0
-        return int(np.sum(s > KERNEL_RTOL * smax)) if smax > 0.0 else 0
+        return _numerical_rank(self._singular_values)
 
     @cached_property
     def bound_trace(self) -> tuple:
@@ -462,9 +469,10 @@ def synthesis_rowspace(sys: IterateSystem) -> np.ndarray:
     orthogonal complement of its kernel (ncols x rank).
 
     Singular values at or below KERNEL_RTOL times the largest count as
-    zero; read off the system's cached thin SVD.
+    zero; read off the system's cached thin SVD (see
+    IterateSystem._rowspace).
     """
-    return sys.svd[2][: sys.rank()].conj().T
+    return sys._rowspace
 
 
 def synthesis_kernel(sys: IterateSystem) -> np.ndarray:
@@ -477,10 +485,10 @@ def frame_bounds(sys: IterateSystem) -> FrameReport:
     """Extreme eigenvalues of the partial frame operator, with a trace
     over square sub-horizons and a four-way classification.
 
-    The bounds are the squared extreme singular values of the system's
-    cached SVD or R (lower 0 when there are fewer than dim of them); the
-    trace is built on the first read of report.bound_trace (see
-    IterateSystem.bound_trace).
+    The bounds are the squared extreme singular values the system holds,
+    from its SVD or its k x k block (lower 0 when there are fewer than dim
+    of them); the trace is built on the first read of report.bound_trace
+    (see IterateSystem.bound_trace).
 
     Classification precedence: not_frame (lower bound below rtol times
     the upper), else minimal_frame when the synthesis kernel is trivial,
@@ -512,6 +520,46 @@ def _coordinate_kernel(sys: IterateSystem):
     return kernel.reshape(shape), mod.reshape(shape)
 
 
+def _block_gap(sys: IterateSystem, kernel: np.ndarray) -> float | None:
+    """The gap from the row space of sys, of rank dim, to the coordinate
+    row space of dim columns, those outside the boolean mask kernel, by
+    dim x dim work; None where rowspace_gap falls back.
+
+    With B = U[:, ~kernel] invertible, U = B [I | X] up to the column
+    order, X = B^-1 U[:, kernel], so the row space of U is that of
+    [I | X], at largest principal angle arctan ||X|| from the coordinate
+    one, and the gap is sin(arctan s) = s / sqrt(1 + s^2) with
+    s = ||X||, the square root of the largest eigenvalue of
+    G = B^-1 U_K U_K^H B^-H.  B and U_K are each rescaled as opnorm
+    rescales (_rescaled), so that G neither underflows nor overflows on
+    a synthesis matrix of any scale; X is the same for U and for c U.
+    And U U^H = B (I + G) B^H = (B C)(B C)^H with C the Cholesky factor
+    of I + G, so U has the singular values of B C, which are cached on
+    sys for its rank and its frame report.  Falls back (None, nothing
+    cached) when B is exactly singular, when s > 1, where the rounding
+    of this route grows with ||C||, or when the values give a rank below
+    dim.
+    """
+    b = sys.synthesis[:, ~kernel]
+    b_scaled, b_top = _rescaled(b)
+    try:
+        b_inv = np.linalg.inv(b_scaled)
+    except np.linalg.LinAlgError:
+        return None
+    u_k, u_top = _rescaled(sys.synthesis[:, kernel])
+    ratio = u_top / b_top  # X = ratio B_scaled^-1 u_k
+    g = b_inv @ (u_k @ u_k.conj().T) @ b_inv.conj().T
+    sigma = ratio * math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0))
+    if not sigma <= 1.0:
+        return None
+    c = np.linalg.cholesky(np.eye(sys.triple.dim) + (ratio * ratio) * g)
+    values = np.linalg.svd(b @ c, compute_uv=False)
+    if _numerical_rank(values) < sys.triple.dim:
+        return None
+    sys.__dict__["_block_values"] = values
+    return sigma / math.sqrt(1.0 + sigma * sigma)
+
+
 def rowspace_gap(a: IterateSystem, b: IterateSystem) -> float:
     """Gap ||P_a - P_b|| between the row spaces of two systems over the
     same horizon, which is also the gap between their synthesis kernels,
@@ -519,20 +567,19 @@ def rowspace_gap(a: IterateSystem, b: IterateSystem) -> float:
 
     Two coordinate systems (see _coordinate_kernel) have coordinate row
     spaces, so the gap is 0.0 when their rank sets agree and 1.0 when
-    they differ, with no products.  For equal ranks the gap is the one
-    term ||(I - P_a) Q_b|| (Bjorck & Golub, Math. Comp. 27, 1973), taken
+    they differ, with no products.  When the coordinate system has rank
+    dim (so the horizon holds at least dim columns) and the other has no
+    SVD yet, the gap is read off the other's dim x dim block on the
+    coordinate rank set (_block_gap, the tan theta identity of Bjorck &
+    Golub, Math. Comp. 27, 1973): the other system takes no factorisation
+    of its synthesis matrix, and its rank and frame report read the
+    values cached there.  Otherwise, or when that route falls back, the
+    rules below apply.
+
+    For equal ranks the gap is the one term ||(I - P_a) Q_b||, taken
     with a coordinate system as a when there is one: (I - P_a) Q_b is
     then the rows of Q_b outside a's rank set, gathered with no product.
     Unequal ranks take the two-term formula of subspace_distance.
-
-    When the coordinate system has rank dim (so the horizon holds at
-    least dim columns) and the other has no SVD yet, the other takes the
-    R factor of its tall side, U^H = Q R, instead (IterateSystem._tall_r).
-    If R has rank dim too, the row space has the orthonormal basis
-    Q = U^H R^-1, whose rows at the coordinate system's kernel columns K
-    have the norm of R^-H U[:, K]: the other system takes no SVD, and its
-    frame report reads its values off R.  Otherwise the rules above
-    apply.
     """
     grid_a, grid_b = _coordinate_kernel(a), _coordinate_kernel(b)
     if grid_a is not None and grid_b is not None:
@@ -540,13 +587,10 @@ def rowspace_gap(a: IterateSystem, b: IterateSystem) -> float:
     coord, dense, kernel = (a, b, grid_a) if grid_a is not None else (b, a, grid_b)
     if kernel is not None:
         kernel = kernel[0].ravel()
-        dim = dense.triple.dim
-        if coord.rank() == dim and "svd" not in dense.__dict__:
-            r = dense._tall_r[0]  # dense.rank() now reads R
-            if dense.rank() == dim:
-                # the inverse of the small triangle and one product cost
-                # less than a solve against R^H
-                return opnorm(np.linalg.inv(r).conj().T @ dense.synthesis[:, kernel])
+        if coord.rank() == dense.triple.dim and "svd" not in dense.__dict__:
+            gap = _block_gap(dense, kernel)
+            if gap is not None:
+                return gap
     if a.rank() != b.rank():
         return subspace_distance(synthesis_rowspace(a), synthesis_rowspace(b))
     if kernel is not None:

@@ -515,7 +515,7 @@ def _check_similarity(ctx: RunContext) -> CheckResult:
         raise PreconditionError("witness uniqueness requires a frame system")
     moved_sys = iterate(moved_triple, ctx.cfg.horizon)
     # kernel gap = row-space gap, since P_N = I - P_R; taken first, so that
-    # over a coordinate base the moved report reads the gap's R factor
+    # over a coordinate base the moved report reads the values the gap cached
     gap = rowspace_gap(ctx.system, moved_sys)
     moved = frame_bounds(moved_sys)
 

@@ -33,9 +33,11 @@ estimate from a coordinate source and the index-map quotient of a union
 of quadrants against the products they replace, byte for byte, the one
 coordinate test against the column test it replaced, the triple of a
 quotient against the constructor's, and one SVD of the random map per
-check.  The last section pins the R factor of
-a moved system's tall side: its singular values against the SVD's, and
-one factorisation per system in the similarity and equiv-vector checks.
+check, with no SVD of the second witness, whose refusals keep their
+messages, and one LU of the map for both conjugations.  The last section
+pins the k x k block of a moved system: its singular values against the
+SVD's, and no factorisation of a moved synthesis matrix over a
+coordinate base in the similarity and equiv-vector checks.
 """
 
 import dataclasses
@@ -80,11 +82,13 @@ from bidiscframes.frames import (
 from bidiscframes.hardy import BidiscPoly, make_space, shift_matrix, shift_rows
 from bidiscframes.inner import InnerSpec, build_inner
 from bidiscframes.models import (
+    WITNESS_TOL,
     estimate_similarity,
     random_similarity,
     recover_model,
     transport,
     triple_from_quotient,
+    uniqueness_of_L,
 )
 from bidiscframes.submodule import (
     COMMUTE_TOL,
@@ -532,6 +536,20 @@ def test_rowspace_is_kernel_complement():
     rows, kernel = synthesis_rowspace(sys), ref_kernel(sys)
     assert rows.shape[1] + kernel.shape[1] == sys.ncols
     assert np.linalg.norm(rows.conj().T @ kernel, 2) <= TOL
+
+
+def test_rowspace_is_one_c_contiguous_copy():
+    """synthesis_rowspace returns one read-only, C-contiguous array of its
+    own per system, the conjugate transpose of the leading rows of the
+    cached Vh: on a real coordinate system and on its complex dense
+    transport."""
+    base = weighted_shift_system(np.random.default_rng(5), (5, 3), (8, 6))
+    for sys in (base, transported(base, 6)):
+        rows, vh = synthesis_rowspace(sys), sys.svd[2]
+        assert synthesis_rowspace(sys) is rows and not rows.flags.writeable
+        assert rows.flags.c_contiguous and rows.flags.owndata
+        assert rows.dtype == vh.dtype == sys.synthesis.dtype
+        assert rows.tobytes() == vh[: sys.rank()].conj().T.tobytes()
 
 
 @pytest.mark.parametrize("order", [(0, 0), (3, 0), (2, 4), (5, 5)])
@@ -1330,13 +1348,13 @@ def test_rowspace_gap_matches_subspace_distance():
         pairs += [(sys, transported(sys, 1)), (transported(sys, 2), transported(sys, 3))]
     for sys in catalog_systems((6, 6)):
         pairs += [(sys, transported(sys, 4)), (transported(sys, 5), transported(sys, 6))]
-    r_cases = 0
+    block_cases = 0
     for a, b in pairs:
         # first gap of a fresh dense b against a full-rank coordinate a: b
-        # takes R, no SVD, and the gap agrees with the Vh gap of today
+        # takes its k x k block, no SVD, and the gap agrees with the Vh gap
         gap = rowspace_gap(a, b)
-        if "_tall_r" in b.__dict__:
-            r_cases += 1
+        if "_block_values" in b.__dict__:
+            block_cases += 1
             assert a._coordinate_entries is not None and a.rank() == b.triple.dim
             assert "svd" not in b.__dict__ and b.rank() == b.triple.dim
             assert gap == pytest.approx(ref_gap(a, b), abs=TOL)
@@ -1345,10 +1363,10 @@ def test_rowspace_gap_matches_subspace_distance():
         for x, y in ((a, b), (b, a)):
             assert rowspace_gap(x, y) == pytest.approx(ref_gap(x, y), abs=TOL)
 
-    assert r_cases == 9
+    assert block_cases == 9
 
-    # a b whose row space is off a's by up to order 1: the R gap against
-    # the dense reference, in both argument orders
+    # a b whose row space is off a's by up to order 1: the gap against the
+    # dense reference, in both argument orders
     rng = np.random.default_rng(20261020)
     bases = [weighted_shift_system(np.random.default_rng(seed), *case)
              for seed, case in enumerate(TRANSPORTABLE)]
@@ -1365,29 +1383,62 @@ def test_rowspace_gap_matches_subspace_distance():
                          (dataclasses.replace(a, synthesis=off), a)):
                 gap = rowspace_gap(x, y)
                 dense = y if x is a else x
-                assert "_tall_r" in dense.__dict__ and "svd" not in dense.__dict__
+                # the block route up to a largest angle of 45 degrees
+                block = gap <= 2.0 ** -0.5
+                assert ("_block_values" in dense.__dict__) == block
+                assert ("svd" in dense.__dict__) == (not block)
                 assert gap == pytest.approx(ref_gap(x, y), abs=TOL)
                 seen.append(gap / eps)
     assert 0.01 < min(seen) and max(seen) < 100.0
 
+    # the three fallbacks of the block route, each to the thin SVD
+    a = bases[0]
+    mod = np.abs(a.synthesis).max(axis=0)
+    rank_cols = mod > KERNEL_RTOL * mod.max()  # a's rank set
+    noise = _random_matrix(rng, a.synthesis.shape, True)
+    singular = a.synthesis + 1e-3 * noise
+    singular[:, np.flatnonzero(rank_cols)[0]] = 0.0  # B has a zero column
+    far = noise  # a random row space, at largest angle past 45 degrees
+    scale = np.ones(a.triple.dim)
+    scale[-1] = 1e-12
+    thin = scale[:, None] * (a.synthesis + 1e-3 * noise)  # rank dim - 1
+    for off in (singular, far, thin):
+        b = off[:, rank_cols]
+        values = np.linalg.svd(off, compute_uv=False)
+        if off is singular:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(b)
+            assert values[-1] > 1e-6 * values[0]
+        else:
+            sigma = np.linalg.norm(np.linalg.solve(b, off[:, ~rank_cols]), 2)
+            assert (sigma > 1.0) == (off is far)
+            assert (values[-1] > KERNEL_RTOL * values[0]) == (off is far)
+        for x, y in ((a, dataclasses.replace(a, synthesis=off)),
+                     (dataclasses.replace(a, synthesis=off), a)):
+            gap = rowspace_gap(x, y)
+            dense = y if x is a else x
+            assert "_block_values" not in dense.__dict__ and "svd" in dense.__dict__
+            assert gap == pytest.approx(ref_gap(x, y), abs=TOL)
+
     full = weighted_shift_system(np.random.default_rng(7), (5, 3), (8, 6))
     cut = weighted_shift_system(np.random.default_rng(8), (5, 3), (8, 6), zero_from=(2, 1))
     assert full.rank() != cut.rank()
-    # a rank-deficient b against a full-rank coordinate a takes R, finds
-    # the rank below dim and falls back to the two-term formula
+    # a rank-deficient b against a full-rank coordinate a falls back from
+    # its block to the two-term formula
     deficient = transported(cut, 9)
     assert full.rank() == deficient.triple.dim
     assert rowspace_gap(full, deficient) == ref_gap(full, deficient)
-    assert "_tall_r" in deficient.__dict__ and deficient.rank() < deficient.triple.dim
+    assert "_block_values" not in deficient.__dict__
+    assert deficient.rank() < deficient.triple.dim
     for a, b in ((full, deficient), (transported(full, 10), transported(cut, 11))):
         for x, y in ((a, b), (b, a)):
             assert rowspace_gap(x, y) == ref_gap(x, y)
-    # fewer columns than dim: a coordinate rank below dim takes no R
+    # fewer columns than dim: a coordinate rank below dim takes no block
     short = weighted_shift_system(np.random.default_rng(13), (4, 4), (2, 2))
     assert short.ncols < short.triple.dim
     moved = transported(short, 14)
     gap = rowspace_gap(short, moved)
-    assert "_tall_r" not in moved.__dict__ and "svd" in moved.__dict__
+    assert "_block_values" not in moved.__dict__ and "svd" in moved.__dict__
     assert gap == pytest.approx(ref_gap(short, moved), abs=TOL)
 
     rng = np.random.default_rng(20261019)
@@ -1600,21 +1651,128 @@ def test_triple_from_quotient_is_the_constructor_triple(monkeypatch):
 def test_similarity_check_factorises_its_map_once(monkeypatch):
     """One similarity check takes the singular values of its random map L
     once, in random_similarity, and hands them to transport and to
-    uniqueness_of_L."""
+    uniqueness_of_L, which takes no SVD of the estimate of L either."""
     ctx = runner.RunContext(runner.ExperimentConfig.from_json(
         {"fixture": "inner-zw", "order": [10, 10], "checks": ["similarity"]}))
     ctx.system
     l = random_similarity(ctx.triple.dim, ctx.transport_rng(), ctx.cfg.condition_cap)
-    on_l = []
-    real_svd = np.linalg.svd
+    args, estimates = [], []
+    real_svd, real_estimate = np.linalg.svd, runner.estimate_similarity
     monkeypatch.setattr(np.linalg, "svd",
-                        lambda a, *args, **kw: on_l.append(np.array_equal(a, l))
-                        or real_svd(a, *args, **kw))
+                        lambda a, *rest, **kw: args.append(a) or real_svd(a, *rest, **kw))
+    monkeypatch.setattr(runner, "estimate_similarity",
+                        lambda *systems: estimates.append(real_estimate(*systems))
+                        or estimates[-1])
     assert runner._run_check("similarity", ctx).passed
-    assert on_l.count(True) == 1
+    assert [np.array_equal(a, l) for a in args].count(True) == 1
+    # the estimate is complex128, so uniqueness_of_L would pass it as is
+    assert len(estimates) == 1 and estimates[0].dtype == np.complex128
+    assert not any(a is estimates[0] for a in args)
 
 
-# --- the moved systems' R factor --------------------------------------------
+def ref_uniqueness_distance(sys, l1, l2):
+    """The witness distance as uniqueness_of_L computed it before it took
+    Weyl's bounds and Frobenius norms: an SVD of each witness, one solve
+    per conjugated operator and the spectral norm of every residual."""
+    l1, l2 = np.asarray(l1, dtype=np.complex128), np.asarray(l2, dtype=np.complex128)
+    for name, l in (("first", l1), ("second", l2)):
+        s = np.linalg.svd(l, compute_uv=False)
+        if s[0] == 0.0 or s[-1] <= 1e-14 * s[0]:
+            raise PreconditionError(f"{name} witness is numerically singular")
+    t = sys.triple
+    moved = [ref_conjugate(l1, t.T1), ref_conjugate(l1, t.T2), l1 @ t.phi]
+    worst = max(opnorm(l2 @ t.T1 - moved[0] @ l2), opnorm(l2 @ t.T2 - moved[1] @ l2),
+                float(np.linalg.norm(l2 @ t.phi - moved[2])))
+    if worst > WITNESS_TOL:
+        raise PreconditionError(
+            f"second witness not certified: residual {worst:.3e} > {WITNESS_TOL:.1e}")
+    return opnorm(l1 - l2)
+
+
+def ref_conjugate(l, a):
+    """L a L^-1 by one solve per operator."""
+    return np.linalg.solve(l.conj().T, (l @ a).conj().T).conj().T
+
+
+def uniqueness_outcome(fn, sys, l1, l2):
+    try:
+        return fn(sys, l1, l2)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_uniqueness_refuses_what_it_refused():
+    """uniqueness_of_L gives the distance, or the refusal with its message
+    and residual, of the version with an SVD of each witness and spectral
+    norms throughout: a singular second witness, a witness off by 1e-6,
+    one whose largest residual is twice the tolerance, one whose
+    residuals pass in spectral norm but not in Frobenius norm, and the
+    check's own estimate."""
+    ctx = runner.RunContext(runner.ExperimentConfig.from_json(
+        {"fixture": "inner-zw", "order": [8, 8], "checks": ["similarity"]}))
+    sys, rng = ctx.system, np.random.default_rng(20261019)
+    l1 = random_similarity(sys.triple.dim, rng)
+    moved = iterate(transport(sys.triple, l1)[0], sys.horizon)
+    v = _random_matrix(rng, (sys.triple.dim, 1), True)
+    v /= np.linalg.norm(v)
+    bump = _random_matrix(rng, l1.shape, True)
+    # the residuals are linear in l2 - l1: scale the bump to 0.9 WITNESS_TOL
+    # in the largest spectral norm, which leaves a Frobenius norm above it
+    residual = max(opnorm(bump @ sys.triple.T1 - ref_conjugate(l1, sys.triple.T1) @ bump),
+                   opnorm(bump @ sys.triple.T2 - ref_conjugate(l1, sys.triple.T2) @ bump),
+                   float(np.linalg.norm(bump @ sys.triple.phi)))
+    spectral_only = l1 + (0.9 * WITNESS_TOL / residual) * bump
+    cases = {
+        "singular": l1 - (l1 @ v) @ v.conj().T,
+        "off": l1 + 1e-6 * bump,
+        "just off": l1 + (2.0 * WITNESS_TOL / residual) * bump,
+        "spectral only": spectral_only,
+        "estimate": estimate_similarity(sys, moved),
+    }
+    outcomes = {}
+    for name, l2 in cases.items():
+        got = uniqueness_outcome(
+            lambda *a: uniqueness_of_L(*a).distance, sys, l1, l2)
+        assert got == uniqueness_outcome(ref_uniqueness_distance, sys, l1, l2), name
+        outcomes[name] = got
+    assert outcomes["singular"] == "second witness is numerically singular"
+    for name in ("off", "just off"):
+        assert outcomes[name].startswith("second witness not certified: residual ")
+    assert isinstance(outcomes["spectral only"], float)
+    assert max(np.linalg.norm(spectral_only @ sys.triple.T1
+                              - ref_conjugate(l1, sys.triple.T1) @ spectral_only),
+               np.linalg.norm(spectral_only @ sys.triple.T2
+                              - ref_conjugate(l1, sys.triple.T2) @ spectral_only)) > WITNESS_TOL
+    assert outcomes["estimate"] <= 1e-8
+
+
+def test_transport_conjugates_both_operators_with_one_lu(monkeypatch):
+    """transport solves once against L^H, on both products side by side,
+    and its T1' and T2' are those of one solve per operator, byte for
+    byte and in the same memory order: every catalog triple at (6, 6),
+    (12, 12) and (9, 5), each under three seeded maps."""
+    from bidiscframes import models
+
+    triples = [system.triple for order in [(6, 6), (12, 12), (9, 5)]
+               for system in catalog_systems(order)]
+    solves = []
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *a: solves.append(a[1].shape) or real_solve(*a))
+    for triple in triples:
+        for seed in range(3):
+            l = random_similarity(triple.dim, np.random.default_rng(seed))
+            solves.clear()
+            new = transport(triple, l)[0]
+            assert solves == [(triple.dim, 2 * triple.dim)]
+            for got, a in ((new.T1, triple.T1), (new.T2, triple.T2)):
+                ref = ref_conjugate(l, a)
+                assert got.tobytes() == ref.tobytes() and got.strides == ref.strides
+            assert models._conjugate(l, triple.T1)[0].tobytes() == new.T1.tobytes()
+    assert len(triples) == 24
+
+
+# --- the moved systems' block values ----------------------------------------
 
 
 def moved_systems(sys, seed):
@@ -1625,32 +1783,62 @@ def moved_systems(sys, seed):
     return [transported(sys, seed), iterate(t.with_seed(v @ t.phi), sys.horizon)]
 
 
-def test_r_values_match_the_svd_values():
-    """The singular values of the R factor of U^H are those of U, to
-    1e-13 times s0 (largest deviation seen: 4.5e-15 times s0): on the
-    moved similarity and equiv-vector systems of every coordinate catalog
-    base at (6, 6), (12, 12) and (9, 5), and on weighted shift systems
-    with entries from 1e-6 to 1, moved by a seeded complex map."""
-    systems = []
+def test_block_values_match_the_svd_values():
+    """The singular values that rowspace_gap caches from the k x k block
+    B C are those of U, to 1e-13 times s0 (largest deviation seen: 7.5e-16
+    times s0): on the moved similarity and equiv-vector systems of every
+    coordinate catalog base of rank dim at (6, 6), (12, 12) and (9, 5),
+    and on weighted shift systems with entries from 1e-6 to 1, moved by a
+    seeded complex map; 30 pairs in all take the block route."""
+    pairs = []
     for order in [(6, 6), (12, 12), (9, 5)]:
         for seed, sys in enumerate(catalog_systems(order)):
             if sys._coordinate_entries is not None:
-                systems += moved_systems(sys, seed)
+                pairs += [(sys, moved) for moved in moved_systems(sys, seed)]
     rng = np.random.default_rng(20261019)
     for case in WEIGHTED_CASES:
         sys = weighted_shift_system(rng, *case)
         entries = sys.synthesis * 10.0 ** rng.uniform(-6.0, 0.0, size=sys.ncols)
         l = random_similarity(sys.triple.dim, rng)
-        systems.append(dataclasses.replace(sys, synthesis=l @ entries))
-    worst = 0.0
-    for sys in systems:
-        if sys.ncols < sys.triple.dim:
-            continue
-        got, ref = sys._tall_r[1], np.linalg.svd(sys.synthesis, compute_uv=False)
-        assert got.shape == ref.shape == (sys.triple.dim,)
+        pairs.append((dataclasses.replace(sys, synthesis=entries),
+                      dataclasses.replace(sys, synthesis=l @ entries)))
+    worst, checked = 0.0, 0
+    for base, moved in pairs:
+        if base.rank() < base.triple.dim or moved._coordinate_entries is not None:
+            continue  # no block route (V = I leaves the moved system coordinate)
+        rowspace_gap(base, moved)
+        assert "_block_values" in moved.__dict__ and "svd" not in moved.__dict__
+        got, ref = moved._singular_values, np.linalg.svd(moved.synthesis, compute_uv=False)
+        assert got.shape == ref.shape == (moved.triple.dim,)
         worst = max(worst, np.abs(got - ref).max() / ref[0])
-    assert len(systems) > 40
+        checked += 1
+    assert checked == 30
     assert worst <= 1e-13, worst
+
+
+def test_block_route_on_a_gap_of_order_one_and_any_scale():
+    """Off the base's row space by up to order one (largest angle below 45
+    degrees, so C is far from I) and with the synthesis matrix scaled by
+    1e-160, 1e160, or so that U_K falls below 1e-100 while B does not, the
+    block route gives the dense reference's gap and singular values: the
+    gap to 1e-12, the values to 1e-13 times s0."""
+    rng = np.random.default_rng(20261021)
+    bases = [a for a in catalog_systems((6, 6))
+             if a._coordinate_entries is not None and a.rank() == a.triple.dim < a.ncols]
+    gaps = []
+    for a in bases:
+        l = random_similarity(a.triple.dim, rng)
+        off = l @ (a.synthesis + 0.03 * _random_matrix(rng, a.synthesis.shape, True))
+        u_k = np.abs(off[:, np.abs(a.synthesis).max(axis=0) == 0.0]).max()
+        for factor in (1.0, 1e-160, 1e160, 0.5e-100 / u_k):
+            moved = dataclasses.replace(a, synthesis=factor * off)
+            gap = rowspace_gap(a, moved)
+            assert "_block_values" in moved.__dict__ and "svd" not in moved.__dict__
+            got, ref = moved._singular_values, np.linalg.svd(moved.synthesis, compute_uv=False)
+            assert np.abs(got - ref).max() <= 1e-13 * ref[0]
+            assert gap == pytest.approx(ref_gap(a, moved), abs=TOL)
+            gaps.append(gap)
+    assert len(bases) >= 3 and 0.1 < max(gaps) < 2.0 ** -0.5
 
 
 @pytest.mark.filterwarnings("ignore:submodule is approximate")
@@ -1658,9 +1846,9 @@ def test_r_values_match_the_svd_values():
 @pytest.mark.parametrize("check", ["similarity", "equiv-vector"])
 def test_moved_systems_take_one_factorisation(monkeypatch, check, fixture, coordinate):
     """Over a coordinate base the similarity and equiv-vector checks take
-    one QR, of the moved system's tall side, and no SVD of a synthesis
-    matrix; over a dense base each system takes exactly one SVD and no
-    QR.  (On inner-z2w the map V of equiv-vector is not the identity;
+    no QR and no SVD of a synthesis-shaped matrix: the moved system's
+    values come from its k x k block; over a dense base each system takes
+    exactly one SVD and no QR.  (On inner-z2w the map V of equiv-vector is not the identity;
     blaschke-half at (10, 10) is no frame, so similarity FAILs right
     after transport, and only the base is factorised.)"""
     ctx = runner.RunContext(runner.ExperimentConfig.from_json(
@@ -1671,14 +1859,15 @@ def test_moved_systems_take_one_factorisation(monkeypatch, check, fixture, coord
     svds, qrs = [], []
     real_svd, real_qr = np.linalg.svd, np.linalg.qr
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: (
-        svds.append(a) if np.shape(a) == shape else None) or real_svd(a, *args, **kw))
+        svds.append(a) if np.shape(a) in (shape, shape[::-1]) else None)
+        or real_svd(a, *args, **kw))
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: (
         qrs.append(a.shape)) or real_qr(a, *args, **kw))
     result = runner._run_check(check, ctx)
     # the check reached its verdict, or the precondition FAIL named above
     assert result.data or result.note == "witness uniqueness requires a frame system"
     if coordinate:
-        assert svds == [] and qrs == [shape[::-1]]
+        assert svds == [] and qrs == []
     elif check == "similarity":
         assert result.note == "witness uniqueness requires a frame system"
         assert qrs == [] and len(svds) == 1 and svds[0] is base.synthesis

@@ -27,14 +27,16 @@ One JSON config per file, all in csv format:
 - inner-z2w at (28, 28) with similarity and equiv-vector: dense moved
   systems over a coordinate base at benchmark scale, where the map V of
   equiv-vector is not the identity;
+- inner-z2w at the rectangular order (20, 9) with the same two checks:
+  the moved systems' k x k block route on a box that is not square;
 - inner-zw at (8, 8) with horizon (12, 4), with similarity and
   equiv-vector: a coordinate base of rank 13 below its dimension 17,
-  with 65 columns, so its moved systems take the SVD, not the R factor
-  of their tall side;
+  with 65 columns, so its moved systems take the SVD, not the values of
+  their k x k block;
 - the constant inner at (3, 3) with all checks: the one config whose
   quotient is trivial, so its complement basis K has no columns.
 
-179 configs in all.
+180 configs in all.
 
 The codimension check needs an inner recipe, so fixtures without one
 (generated-zw, riesz-model) skip it; every config then runs without a
@@ -100,6 +102,8 @@ def configs() -> dict[str, dict]:
                                            "checks": ["frame-bounds"]}
     out["inner-z2w.similarity-28"] = {"fixture": "inner-z2w", "order": [28, 28],
                                       "checks": ["similarity", "equiv-vector"]}
+    out["inner-z2w.similarity-20-9"] = {"fixture": "inner-z2w", "order": [20, 9],
+                                        "checks": ["similarity", "equiv-vector"]}
     out["inner-zw.similarity-8-horizon-12-4"] = {"fixture": "inner-zw", "order": [8, 8],
                                                  "horizon": [12, 4],
                                                  "checks": ["similarity", "equiv-vector"]}
