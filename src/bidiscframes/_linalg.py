@@ -20,8 +20,15 @@ import numpy as np
 
 from .hardy import TruncatedSpace, shift_rows
 
-DEFAULT_RANK_TOL = 1e-10
+KERNEL_RTOL = 1e-10
 PIVOT_TIE = 1e-8
+
+
+def rank_mask(values) -> np.ndarray:
+    """The one rank rule: which nonnegative values (singular values, |pivots|
+    or |entries|, in any order) lie above KERNEL_RTOL times the largest,
+    none when all are 0; the numerical rank is the count of the mask."""
+    return values > KERNEL_RTOL * values.max(initial=0.0)
 
 
 def _rescaled(a) -> tuple[np.ndarray, float]:
@@ -57,8 +64,8 @@ def opnorm(a) -> float:
 
 
 def _pivoted_qr(a, mode: str):
-    """(q, rank) of a pivoted QR; pivots below DEFAULT_RANK_TOL times the
-    leading pivot count as numerically dependent.
+    """(q, rank) of a pivoted QR; pivots at or below KERNEL_RTOL times the
+    largest count as numerically dependent (rank_mask of |diag R|).
 
     A real matrix is factorised in real arithmetic (Businger & Golub,
     Numer. Math. 7, 1965), at about a quarter of the complex cost; q then
@@ -70,21 +77,15 @@ def _pivoted_qr(a, mode: str):
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-    n = a.shape[0]
-    if a.shape[1] == 0:
-        return np.eye(n, dtype=a.dtype), 0
     q, r, _ = scipy.linalg.qr(a, mode=mode, pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return q, 0
-    return q, int(np.sum(diag > DEFAULT_RANK_TOL * diag[0]))
+    return q, int(np.count_nonzero(rank_mask(np.abs(np.diag(r)))))
 
 
 def orthonormal_columns(a):
     """Orthonormal basis of the column span, via pivoted QR.
 
-    Returns (q, rank).  Pivots below DEFAULT_RANK_TOL times the leading
-    pivot are treated as numerically dependent and dropped.
+    Returns (q, rank).  Pivots at or below KERNEL_RTOL times the largest
+    are treated as numerically dependent and dropped.
     """
     q, rank = _pivoted_qr(a, "economic")
     return q[:, :rank], rank
@@ -174,13 +175,12 @@ def canonical_basis(k0):
 def null_space_onb(a) -> np.ndarray:
     """Orthonormal basis of the kernel of a (possibly empty) matrix.
 
-    The rule of scipy.linalg.null_space with rcond DEFAULT_RANK_TOL: the
-    right singular vectors of a full SVD whose singular values are at or
-    below DEFAULT_RANK_TOL times the largest.
+    The rule of scipy.linalg.null_space with rcond KERNEL_RTOL: the right
+    singular vectors of a full SVD outside rank_mask of its singular
+    values.
     """
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > s.max(initial=0.0) * DEFAULT_RANK_TOL))
-    return vh[rank:].conj().T
+    return vh[np.count_nonzero(rank_mask(s)):].conj().T
 
 
 def restrict_to_support(q, keep) -> np.ndarray:
@@ -212,11 +212,11 @@ def masked_complement(k_onb, keep):
     the range of k_onb[keep], so I - v v^H projects onto the subspace, and
     dim is its dimension.  k_onb must have orthonormal columns; its row
     blocks then have singular values at most 1, so the rank decision is
-    absolute (sigma > DEFAULT_RANK_TOL): pure rounding noise has rank 0.
+    absolute (sigma > KERNEL_RTOL): pure rounding noise has rank 0.
     """
     block = np.asarray(k_onb)[np.asarray(keep, dtype=bool)]
     u, s, _ = np.linalg.svd(block, full_matrices=False)
-    rank = int(np.sum(s > DEFAULT_RANK_TOL))
+    rank = int(np.sum(s > KERNEL_RTOL))
     return u[:, :rank], block.shape[0] - rank
 
 

@@ -25,7 +25,7 @@ from .frames import (
     OperatorTriple,
     frame_bounds,
     iterate,
-    rowspace_gap,
+    moved_frame_report,
 )
 
 __all__ = [
@@ -148,9 +148,9 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
     ones, so frame-ness, minimality, and the synthesis kernel are all
     preserved; this is asserted, and violations raise.  Non-commuting or
     singular V is rejected up front with the violated bound.  The base
-    system's cached frame report and factorisation are reused, and the
-    moved triple keeps the base triple's checked pair
-    (OperatorTriple.with_seed).
+    system's cached factorisation is reused, the moved system is
+    compared with it by moved_frame_report, and the moved triple keeps
+    the base triple's checked pair (OperatorTriple.with_seed).
     """
     triple = base.triple
     v = np.asarray(v)
@@ -167,11 +167,8 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
 
     base_report = frame_bounds(base)
     moved = iterate(triple.with_seed(v @ triple.phi), base.horizon)
-    # the kernels agree exactly when their complements, the row spaces, do;
-    # the gap is taken first, so that over a coordinate base the moved
-    # report reads the values the gap cached
-    gap = rowspace_gap(base, moved)
-    moved_report = frame_bounds(moved)
+    # the kernels agree exactly when their complements, the row spaces, do
+    gap, moved_report = moved_frame_report(base, moved)
 
     if base_report.is_frame != moved_report.is_frame or (
         (base_report.kernel_dim == 0) != (moved_report.kernel_dim == 0)

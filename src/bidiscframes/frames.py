@@ -13,17 +13,17 @@ most the operator dimension.
 
 Each system factorises its synthesis matrix once, cached on the system.
 As a rule that is one thin SVD, which gives the frame bounds, the rank,
-the kernel dimension and the row space.  A system whose singular vectors
-nobody reads, such as the moved system of the similarity checks over a
-coordinate base of rank k, takes no factorisation of its synthesis
-matrix at all: rowspace_gap reads both the gap and the singular values
+the kernel dimension and the row space; a frame report is built afresh
+on each call, in O(dim).  A moved system over a coordinate base of rank
+k takes no factorisation of its synthesis matrix at all:
+moved_frame_report reads its gap from the base and its singular values
 off its k x k block B on the base's rank columns (U = B [I | X] up to
-the column order, so the gap is sin(arctan ||X||) and U U^H = B (I +
-X X^H) B^H).  The rank and the frame report read whichever values the
-system holds.  The bound trace over square sub-horizons is built only
-when read, on the smaller side of each corner, and cached beside the
-factorisation.  The iterates are kept once, as the synthesis matrix,
-which iterate() marks read-only, so no cache can go stale.
+the column order, so the gap is sin(arctan ||X||) and U U^H =
+B (I + X X^H) B^H), and caches nothing.  The bound trace over square
+sub-horizons is built only when read, on the smaller side of each
+corner, and cached beside the factorisation.  The iterates are kept
+once, as the synthesis matrix, which iterate() marks read-only, so no
+cache can go stale.
 
 A coordinate synthesis matrix, with at most one nonzero entry in every
 row and every column, takes no factorisation.  Its iterates are
@@ -38,16 +38,14 @@ its double-commutation test runs on that index set, and its invariance
 residual is the largest |entry| among the shifted kernel columns.  Both
 residuals are exact (0.0 or 1.0, and 0.0 or an entry modulus), with no
 masked_complement.  Every other system takes the dense path.  The
-row-space gap of two systems (rowspace_gap) reads a coordinate row space
-by its rank set, with no product, against the other system's k x k block
-when the coordinate one has full row rank and the other no SVD yet.
+row-space gap of two coordinate systems (rowspace_gap) compares their
+rank sets, with no product.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -55,6 +53,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._linalg import (
+    KERNEL_RTOL,
     _index_set_residual,
     _rescaled,
     compressed_commutator_residual,
@@ -64,6 +63,7 @@ from ._linalg import (
     masked_complement,
     null_space_onb,
     opnorm,
+    rank_mask,
     subspace_distance,
 )
 from .hardy import DegreePair, TruncatedSpace, shift_rows, _as_degree
@@ -81,6 +81,7 @@ __all__ = [
     "synthesis_kernel",
     "synthesis_rowspace",
     "rowspace_gap",
+    "moved_frame_report",
     "frame_bounds",
     "kernel_shift_invariance",
     "kernel_doubly_commutes",
@@ -92,7 +93,6 @@ __all__ = [
 DIM_LIMIT = 2000
 COLS_LIMIT = 100_000
 CLASS_RTOL = 1e-8
-KERNEL_RTOL = 1e-10
 COMM_TOL = 1e-10
 
 
@@ -107,13 +107,6 @@ class InvariantViolation(RuntimeError):
 class PreconditionError(ValueError):
     """The hypothesis of a mathematical test is false for its input (for
     example "not a frame"); the runner records it as that check's FAIL."""
-
-
-def _numerical_rank(s: np.ndarray) -> int:
-    """The singular values s (descending) above KERNEL_RTOL times the
-    largest; 0 when there are none or the largest is 0."""
-    smax = s[0] if s.size else 0.0
-    return int(np.sum(s > KERNEL_RTOL * smax)) if smax > 0.0 else 0
 
 
 def _dim_limit() -> int:
@@ -190,13 +183,11 @@ class IterateSystem:
     """All iterates of the seed inside a horizon box, as their synthesis
     matrix (dim x n_columns, columns in row-major horizon order).
 
-    The thin SVD of the synthesis matrix (or, from rowspace_gap, the
-    singular values of its k x k block, see _block_gap), the row space
-    read off the SVD and the bound trace are computed on first use and
-    cached on the system.  The frame
-    report reads its bounds off the singular values the system holds, so
-    a report whose trace nobody reads never builds it.  iterate() makes synthesis, and so its view
-    vectors, read-only.
+    The thin SVD of the synthesis matrix, the row space read off it and
+    the bound trace are computed on first use and cached on the system;
+    nothing else is.  A frame report reads its bounds off singular
+    values, so a report whose trace nobody reads never builds it.
+    iterate() makes synthesis, and so its view vectors, read-only.
     """
 
     triple: OperatorTriple
@@ -267,15 +258,6 @@ class IterateSystem:
         vh[np.arange(m), np.concatenate([cols, np.flatnonzero(free_cols)[: m - r]])] = 1.0
         return u, s, vh
 
-    @property
-    def _singular_values(self) -> np.ndarray:
-        """The singular values, read off what the system already holds:
-        the SVD, else the values rowspace_gap cached from the system's
-        k x k block (see _block_gap), else a new SVD."""
-        if "svd" not in self.__dict__ and "_block_values" in self.__dict__:
-            return self.__dict__["_block_values"]
-        return self.svd[1]
-
     @cached_property
     def _rowspace(self) -> np.ndarray:
         """The orthonormal row-space basis synthesis_rowspace returns: one
@@ -290,7 +272,7 @@ class IterateSystem:
     def rank(self) -> int:
         """Numerical rank of the synthesis matrix: the singular values
         above KERNEL_RTOL times the largest (0 for a zero matrix)."""
-        return _numerical_rank(self._singular_values)
+        return int(np.count_nonzero(rank_mask(self.svd[1])))
 
     @cached_property
     def bound_trace(self) -> tuple:
@@ -338,48 +320,6 @@ class IterateSystem:
                 lo, hi = hermitian_extremes(gram)
             trace.append((h, max(lo, 0.0), max(hi, 0.0)))
         return tuple(trace)
-
-    @property
-    def _frame_report(self) -> "FrameReport":
-        """The report frame_bounds returns, shared while anyone holds it.
-
-        The report holds the system, whose trace it reads through, so the
-        system keeps only a weak reference back: a strong one would make a
-        cycle that keeps every system and its SVD alive until a full
-        garbage collection.  A rebuilt report costs O(dim), since the
-        frame operator U U^H has the squared singular values of U as its
-        nonzero eigenvalues; with fewer than dim of them it is singular.
-        """
-        report = self.__dict__.get("_report", lambda: None)()
-        if report is not None:
-            return report
-        s = self._singular_values
-        upper = float(s[0]) ** 2 if s.size else 0.0
-        lower = float(s[-1]) ** 2 if s.size == self.triple.dim else 0.0
-        kernel_dim = self.ncols - self.rank()
-
-        if upper <= 0.0 or lower <= CLASS_RTOL * upper:
-            classification = "not_frame"
-            if upper <= 0.0:
-                lower = upper = 0.0
-        elif kernel_dim == 0:
-            classification = "minimal_frame"
-        # the frame operator is Hermitian: ||S - I|| is the largest
-        # distance of an eigenvalue from 1
-        elif max(abs(lower - 1.0), abs(upper - 1.0)) <= CLASS_RTOL:
-            classification = "parseval"
-        else:
-            classification = "frame"
-
-        report = FrameReport(
-            lower=lower,
-            upper=upper,
-            classification=classification,
-            kernel_dim=kernel_dim,
-            system=self,
-        )
-        self.__dict__["_report"] = weakref.ref(report)
-        return report
 
 
 @dataclass(frozen=True)
@@ -485,10 +425,10 @@ def frame_bounds(sys: IterateSystem) -> FrameReport:
     """Extreme eigenvalues of the partial frame operator, with a trace
     over square sub-horizons and a four-way classification.
 
-    The bounds are the squared extreme singular values the system holds,
-    from its SVD or its k x k block (lower 0 when there are fewer than dim
-    of them); the trace is built on the first read of report.bound_trace
-    (see IterateSystem.bound_trace).
+    The bounds are the squared extreme singular values of the synthesis
+    matrix (lower 0 when there are fewer than dim of them); the trace is
+    built on the first read of report.bound_trace (see
+    IterateSystem.bound_trace).
 
     Classification precedence: not_frame (lower bound below rtol times
     the upper), else minimal_frame when the synthesis kernel is trivial,
@@ -496,10 +436,41 @@ def frame_bounds(sys: IterateSystem) -> FrameReport:
     frame.  Bound-trace entries are nondecreasing in the horizon because
     partial frame operators grow in the positive-semidefinite order.
 
-    Repeated calls return the same object for as long as one caller holds
-    it; the bounds are read off the system's cached factorisation.
+    Each call builds a new report, equal to the last, in O(dim) from the
+    system's cached SVD (see _report).
     """
-    return sys._frame_report
+    return _report(sys, sys.svd[1])
+
+
+def _report(sys: IterateSystem, s: np.ndarray) -> FrameReport:
+    """The frame report of sys from the singular values s of its synthesis
+    matrix, in descending order.  The frame operator U U^H has their
+    squares as its nonzero eigenvalues; with fewer than dim of them it is
+    singular."""
+    upper = float(s[0]) ** 2 if s.size else 0.0
+    lower = float(s[-1]) ** 2 if s.size == sys.triple.dim else 0.0
+    kernel_dim = sys.ncols - int(np.count_nonzero(rank_mask(s)))
+
+    if upper <= 0.0 or lower <= CLASS_RTOL * upper:
+        classification = "not_frame"
+        if upper <= 0.0:
+            lower = upper = 0.0
+    elif kernel_dim == 0:
+        classification = "minimal_frame"
+    # the frame operator is Hermitian: ||S - I|| is the largest
+    # distance of an eigenvalue from 1
+    elif max(abs(lower - 1.0), abs(upper - 1.0)) <= CLASS_RTOL:
+        classification = "parseval"
+    else:
+        classification = "frame"
+
+    return FrameReport(
+        lower=lower,
+        upper=upper,
+        classification=classification,
+        kernel_dim=kernel_dim,
+        system=sys,
+    )
 
 
 def _coordinate_kernel(sys: IterateSystem):
@@ -516,14 +487,14 @@ def _coordinate_kernel(sys: IterateSystem):
         return None
     shape = (sys.horizon.d1 + 1, sys.horizon.d2 + 1)
     mod = np.abs(hits[1])
-    kernel = ~(mod > KERNEL_RTOL * mod.max())
-    return kernel.reshape(shape), mod.reshape(shape)
+    return ~rank_mask(mod).reshape(shape), mod.reshape(shape)
 
 
-def _block_gap(sys: IterateSystem, kernel: np.ndarray) -> float | None:
-    """The gap from the row space of sys, of rank dim, to the coordinate
-    row space of dim columns, those outside the boolean mask kernel, by
-    dim x dim work; None where rowspace_gap falls back.
+def _block_gap(sys: IterateSystem, kernel: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """(gap, values): the gap from the row space of sys, of rank dim, to
+    the coordinate row space of dim columns, those outside the boolean
+    mask kernel, and the singular values of sys, by dim x dim work; None
+    where moved_frame_report falls back.  Nothing is cached.
 
     With B = U[:, ~kernel] invertible, U = B [I | X] up to the column
     order, X = B^-1 U[:, kernel], so the row space of U is that of
@@ -534,11 +505,9 @@ def _block_gap(sys: IterateSystem, kernel: np.ndarray) -> float | None:
     rescales (_rescaled), so that G neither underflows nor overflows on
     a synthesis matrix of any scale; X is the same for U and for c U.
     And U U^H = B (I + G) B^H = (B C)(B C)^H with C the Cholesky factor
-    of I + G, so U has the singular values of B C, which are cached on
-    sys for its rank and its frame report.  Falls back (None, nothing
-    cached) when B is exactly singular, when s > 1, where the rounding
-    of this route grows with ||C||, or when the values give a rank below
-    dim.
+    of I + G, so U has the singular values of B C.  Falls back (None)
+    when B is exactly singular, when s > 1, where the rounding of this
+    route grows with ||C||, or when the values give a rank below dim.
     """
     b = sys.synthesis[:, ~kernel]
     b_scaled, b_top = _rescaled(b)
@@ -554,10 +523,9 @@ def _block_gap(sys: IterateSystem, kernel: np.ndarray) -> float | None:
         return None
     c = np.linalg.cholesky(np.eye(sys.triple.dim) + (ratio * ratio) * g)
     values = np.linalg.svd(b @ c, compute_uv=False)
-    if _numerical_rank(values) < sys.triple.dim:
+    if not rank_mask(values).all():
         return None
-    sys.__dict__["_block_values"] = values
-    return sigma / math.sqrt(1.0 + sigma * sigma)
+    return sigma / math.sqrt(1.0 + sigma * sigma), values
 
 
 def rowspace_gap(a: IterateSystem, b: IterateSystem) -> float:
@@ -567,38 +535,37 @@ def rowspace_gap(a: IterateSystem, b: IterateSystem) -> float:
 
     Two coordinate systems (see _coordinate_kernel) have coordinate row
     spaces, so the gap is 0.0 when their rank sets agree and 1.0 when
-    they differ, with no products.  When the coordinate system has rank
-    dim (so the horizon holds at least dim columns) and the other has no
-    SVD yet, the gap is read off the other's dim x dim block on the
-    coordinate rank set (_block_gap, the tan theta identity of Bjorck &
-    Golub, Math. Comp. 27, 1973): the other system takes no factorisation
-    of its synthesis matrix, and its rank and frame report read the
-    values cached there.  Otherwise, or when that route falls back, the
-    rules below apply.
-
-    For equal ranks the gap is the one term ||(I - P_a) Q_b||, taken
-    with a coordinate system as a when there is one: (I - P_a) Q_b is
-    then the rows of Q_b outside a's rank set, gathered with no product.
-    Unequal ranks take the two-term formula of subspace_distance.
+    they differ, with no products.  Unequal ranks take the two-term
+    formula of subspace_distance, equal ranks the one term
+    ||(I - P_a) Q_b||.
     """
     grid_a, grid_b = _coordinate_kernel(a), _coordinate_kernel(b)
     if grid_a is not None and grid_b is not None:
         return 0.0 if np.array_equal(grid_a[0].ravel(), grid_b[0].ravel()) else 1.0
-    coord, dense, kernel = (a, b, grid_a) if grid_a is not None else (b, a, grid_b)
-    if kernel is not None:
-        kernel = kernel[0].ravel()
-        if coord.rank() == dense.triple.dim and "svd" not in dense.__dict__:
-            gap = _block_gap(dense, kernel)
-            if gap is not None:
-                return gap
-    if a.rank() != b.rank():
-        return subspace_distance(synthesis_rowspace(a), synthesis_rowspace(b))
-    if kernel is not None:
-        # Q_b is Vh_b[:rank]^H; its rows outside the rank set of a, as the
-        # columns of Vh_b, have the same spectral norm
-        return opnorm(dense.svd[2][: dense.rank(), kernel])
     qa, qb = synthesis_rowspace(a), synthesis_rowspace(b)
+    if qa.shape[1] != qb.shape[1]:
+        return subspace_distance(qa, qb)
     return opnorm(qb - qa @ (qa.conj().T @ qb))
+
+
+def moved_frame_report(base: IterateSystem, moved: IterateSystem) -> tuple[float, FrameReport]:
+    """(rowspace_gap(base, moved), frame_bounds(moved)), the one comparison
+    of a moved system with its base over the same horizon.
+
+    When base is coordinate with rank dim and moved is not coordinate,
+    both come from moved's dim x dim block on the base's rank set
+    (_block_gap, the tan theta identity of Bjorck & Golub, Math. Comp.
+    27, 1973), with no factorisation of moved's synthesis matrix;
+    otherwise, or when that route falls back, from the two calls.  The
+    result does not depend on what was read of either system before.
+    """
+    grid = _coordinate_kernel(base)
+    if (grid is not None and moved._coordinate_entries is None
+            and base.rank() == base.triple.dim):
+        block = _block_gap(moved, grid[0].ravel())
+        if block is not None:
+            return block[0], _report(moved, block[1])
+    return rowspace_gap(base, moved), frame_bounds(moved)
 
 
 def kernel_shift_invariance(sys: IterateSystem) -> KernelInvarianceReport:

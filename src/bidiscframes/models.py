@@ -163,6 +163,12 @@ def certify_similarity(l, source: OperatorTriple, target: OperatorTriple,
     )
 
 
+def _singular(svals) -> bool:
+    """Whether a map with singular values svals (descending) is numerically
+    singular: s0 is 0 or the smallest is at most 1e-14 s0."""
+    return svals[0] == 0.0 or svals[-1] <= 1e-14 * svals[0]
+
+
 def transport(triple: OperatorTriple, l, condition_cap: float = CONDITION_GUARD,
               svals=None):
     """Conjugate a triple by an invertible map.
@@ -178,9 +184,9 @@ def transport(triple: OperatorTriple, l, condition_cap: float = CONDITION_GUARD,
         raise ValueError(f"map shape {l.shape} does not match dim {triple.dim}")
     if svals is None:
         svals = np.linalg.svd(l, compute_uv=False)
-    smin, smax = float(svals[-1]), float(svals[0])
-    if smax == 0.0 or smin <= 1e-14 * smax:
+    if _singular(svals):
         raise ValueError("similarity map is numerically singular")
+    smin, smax = float(svals[-1]), float(svals[0])
     if smax / smin > condition_cap:
         raise GuardError(
             f"condition number {smax / smin:.3e} beyond cap {condition_cap:.1e}"
@@ -322,15 +328,12 @@ def uniqueness_of_L(sys: IterateSystem, l1, l2, target: OperatorTriple | None = 
     if svals is None:
         svals = np.linalg.svd(l1, compute_uv=False)
     distance = opnorm(l1 - l2)
+    if _singular(svals):
+        raise PreconditionError("first witness is numerically singular")
     # Weyl: each singular value of l2 lies within distance of l1's
     weyl_clear = svals[-1] - distance > 2e-14 * (svals[0] + distance)
-    for name, s in (("first", svals), ("second", None)):
-        if s is None:
-            if weyl_clear:
-                continue
-            s = np.linalg.svd(l2, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-14 * s[0]:
-            raise PreconditionError(f"{name} witness is numerically singular")
+    if not weyl_clear and _singular(np.linalg.svd(l2, compute_uv=False)):
+        raise PreconditionError("second witness is numerically singular")
     source = sys.triple
     if target is None:
         moved = (*_conjugate(l1, source.T1, source.T2), l1 @ source.phi)

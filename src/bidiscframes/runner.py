@@ -45,7 +45,7 @@ from .frames import (
     iterate,
     kernel_doubly_commutes,
     kernel_shift_invariance,
-    rowspace_gap,
+    moved_frame_report,
     synthesis_rowspace,
 )
 from .hardy import (
@@ -514,10 +514,8 @@ def _check_similarity(ctx: RunContext) -> CheckResult:
         # uniqueness_of_L would refuse it last: no moved system is built
         raise PreconditionError("witness uniqueness requires a frame system")
     moved_sys = iterate(moved_triple, ctx.cfg.horizon)
-    # kernel gap = row-space gap, since P_N = I - P_R; taken first, so that
-    # over a coordinate base the moved report reads the values the gap cached
-    gap = rowspace_gap(ctx.system, moved_sys)
-    moved = frame_bounds(moved_sys)
+    # kernel gap = row-space gap, since P_N = I - P_R
+    gap, moved = moved_frame_report(ctx.system, moved_sys)
 
     smin, smax = witness.sigma_min, witness.sigma_max
     slack = 1e-9

@@ -36,12 +36,15 @@ quotient against the constructor's, and one SVD of the random map per
 check, with no SVD of the second witness, whose refusals keep their
 messages, and one LU of the map for both conjugations.  The last section
 pins the k x k block of a moved system: its singular values against the
-SVD's, and no factorisation of a moved synthesis matrix over a
-coordinate base in the similarity and equiv-vector checks.
+SVD's, a moved_frame_report that does not depend on what was read
+before, the one rank rule against the rules it replaced, and no
+factorisation of a moved synthesis matrix over a coordinate base in the
+similarity and equiv-vector checks.
 """
 
 import dataclasses
 import gc
+import json
 import os
 import re
 import subprocess
@@ -63,6 +66,7 @@ from bidiscframes._linalg import (
     iterate_grid,
     opnorm,
     orthonormal_split,
+    rank_mask,
     subspace_distance,
 )
 from bidiscframes.fixtures import CATALOG, build_chain
@@ -71,10 +75,13 @@ from bidiscframes.frames import (
     KERNEL_RTOL,
     OperatorTriple,
     PreconditionError,
+    _block_gap,
+    _coordinate_kernel,
     frame_bounds,
     iterate,
     kernel_doubly_commutes,
     kernel_shift_invariance,
+    moved_frame_report,
     rowspace_gap,
     synthesis_kernel,
     synthesis_rowspace,
@@ -604,8 +611,10 @@ def test_random_commuting_systems_factorisation_matches_reference():
 
 
 def test_frame_report_is_cached_on_a_read_only_system():
+    """Each call builds a new report, equal to the last, off the system's
+    cached SVD; the synthesis matrix and its view are read-only."""
     sys = random_system(np.random.default_rng(13), 4, (5, 5))
-    assert frame_bounds(sys) is frame_bounds(sys)
+    assert frame_bounds(sys) == frame_bounds(sys)
     with pytest.raises(ValueError, match="read-only"):
         sys.synthesis[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -1137,8 +1146,9 @@ def test_bound_trace_is_built_only_when_read(monkeypatch, reader):
 
 
 def test_a_report_and_its_system_are_freed_without_the_cycle_collector():
-    """The report holds its system and the system holds the report only
-    weakly, so dropping both frees the iterates and the SVD at once."""
+    """The report holds its system and the system holds nothing of the
+    report, so there is no cycle: dropping both frees the iterates and
+    the SVD at once."""
     system = random_system(np.random.default_rng(5), 4, (5, 5))
     report = frame_bounds(system)
     assert report.bound_trace is system.bound_trace
@@ -1350,15 +1360,17 @@ def test_rowspace_gap_matches_subspace_distance():
         pairs += [(sys, transported(sys, 4)), (transported(sys, 5), transported(sys, 6))]
     block_cases = 0
     for a, b in pairs:
-        # first gap of a fresh dense b against a full-rank coordinate a: b
-        # takes its k x k block, no SVD, and the gap agrees with the Vh gap
-        gap = rowspace_gap(a, b)
-        if "_block_values" in b.__dict__:
+        # a fresh dense b moved from a full-rank coordinate a: b takes its
+        # k x k block, no SVD, and the gap agrees with rowspace_gap's
+        gap, report = moved_frame_report(a, b)
+        if "svd" not in vars(b):
             block_cases += 1
             assert a._coordinate_entries is not None and a.rank() == b.triple.dim
-            assert "svd" not in b.__dict__ and b.rank() == b.triple.dim
+            assert report.kernel_dim == b.ncols - b.triple.dim
             assert gap == pytest.approx(ref_gap(a, b), abs=TOL)
             assert gap == pytest.approx(rowspace_gap(a, b), abs=TOL)  # the Vh gap
+        else:
+            assert gap == rowspace_gap(a, b) and report == frame_bounds(b)
         assert a.rank() == b.rank()
         for x, y in ((a, b), (b, a)):
             assert rowspace_gap(x, y) == pytest.approx(ref_gap(x, y), abs=TOL)
@@ -1379,14 +1391,13 @@ def test_rowspace_gap_matches_subspace_distance():
         for eps in (1e-9, 1e-5, 1e-1):
             noise = _random_matrix(rng, a.synthesis.shape, True)
             off = l @ (a.synthesis + eps * noise)
-            for x, y in ((a, dataclasses.replace(a, synthesis=off)),
-                         (dataclasses.replace(a, synthesis=off), a)):
+            moved = dataclasses.replace(a, synthesis=off)
+            gap = moved_frame_report(a, moved)[0]
+            # the block route up to a largest angle of 45 degrees
+            assert ("svd" not in vars(moved)) == (gap <= 2.0 ** -0.5)
+            assert gap == pytest.approx(ref_gap(a, moved), abs=TOL)
+            for x, y in ((a, moved), (moved, a)):
                 gap = rowspace_gap(x, y)
-                dense = y if x is a else x
-                # the block route up to a largest angle of 45 degrees
-                block = gap <= 2.0 ** -0.5
-                assert ("_block_values" in dense.__dict__) == block
-                assert ("svd" in dense.__dict__) == (not block)
                 assert gap == pytest.approx(ref_gap(x, y), abs=TOL)
                 seen.append(gap / eps)
     assert 0.01 < min(seen) and max(seen) < 100.0
@@ -1413,12 +1424,12 @@ def test_rowspace_gap_matches_subspace_distance():
             sigma = np.linalg.norm(np.linalg.solve(b, off[:, ~rank_cols]), 2)
             assert (sigma > 1.0) == (off is far)
             assert (values[-1] > KERNEL_RTOL * values[0]) == (off is far)
-        for x, y in ((a, dataclasses.replace(a, synthesis=off)),
-                     (dataclasses.replace(a, synthesis=off), a)):
-            gap = rowspace_gap(x, y)
-            dense = y if x is a else x
-            assert "_block_values" not in dense.__dict__ and "svd" in dense.__dict__
-            assert gap == pytest.approx(ref_gap(x, y), abs=TOL)
+        moved = dataclasses.replace(a, synthesis=off)
+        gap, report = moved_frame_report(a, moved)
+        assert "svd" in vars(moved)
+        assert gap == rowspace_gap(a, moved) and report == frame_bounds(moved)
+        for x, y in ((a, moved), (moved, a)):
+            assert rowspace_gap(x, y) == pytest.approx(ref_gap(x, y), abs=TOL)
 
     full = weighted_shift_system(np.random.default_rng(7), (5, 3), (8, 6))
     cut = weighted_shift_system(np.random.default_rng(8), (5, 3), (8, 6), zero_from=(2, 1))
@@ -1427,8 +1438,8 @@ def test_rowspace_gap_matches_subspace_distance():
     # its block to the two-term formula
     deficient = transported(cut, 9)
     assert full.rank() == deficient.triple.dim
-    assert rowspace_gap(full, deficient) == ref_gap(full, deficient)
-    assert "_block_values" not in deficient.__dict__
+    assert moved_frame_report(full, deficient)[0] == ref_gap(full, deficient)
+    assert "svd" in vars(deficient)
     assert deficient.rank() < deficient.triple.dim
     for a, b in ((full, deficient), (transported(full, 10), transported(cut, 11))):
         for x, y in ((a, b), (b, a)):
@@ -1437,8 +1448,8 @@ def test_rowspace_gap_matches_subspace_distance():
     short = weighted_shift_system(np.random.default_rng(13), (4, 4), (2, 2))
     assert short.ncols < short.triple.dim
     moved = transported(short, 14)
-    gap = rowspace_gap(short, moved)
-    assert "_block_values" not in moved.__dict__ and "svd" in moved.__dict__
+    gap = moved_frame_report(short, moved)[0]
+    assert "svd" in vars(moved)
     assert gap == pytest.approx(ref_gap(short, moved), abs=TOL)
 
     rng = np.random.default_rng(20261019)
@@ -1783,13 +1794,29 @@ def moved_systems(sys, seed):
     return [transported(sys, seed), iterate(t.with_seed(v @ t.phi), sys.horizon)]
 
 
+def block_values(base, moved, report=True):
+    """(gap, values) of the k x k block route of moved over the coordinate
+    base: _block_gap caches nothing on moved, and moved_frame_report
+    returns that gap with a report built from those values, and takes no
+    SVD of moved (report=False skips that call)."""
+    cached = set(vars(moved))
+    gap, values = _block_gap(moved, _coordinate_kernel(base)[0].ravel())
+    assert set(vars(moved)) == cached
+    if report:
+        got, rep = moved_frame_report(base, moved)
+        assert "svd" not in vars(moved) and got == gap
+        assert rep.upper == float(values[0]) ** 2 and rep.lower == float(values[-1]) ** 2
+    return gap, values
+
+
 def test_block_values_match_the_svd_values():
-    """The singular values that rowspace_gap caches from the k x k block
-    B C are those of U, to 1e-13 times s0 (largest deviation seen: 7.5e-16
-    times s0): on the moved similarity and equiv-vector systems of every
-    coordinate catalog base of rank dim at (6, 6), (12, 12) and (9, 5),
-    and on weighted shift systems with entries from 1e-6 to 1, moved by a
-    seeded complex map; 30 pairs in all take the block route."""
+    """The singular values of the k x k block B C that moved_frame_report
+    reads are those of U, to 1e-13 times s0 (largest deviation seen:
+    7.5e-16 times s0): on the moved similarity and equiv-vector systems
+    of every coordinate catalog base of rank dim at (6, 6), (12, 12) and
+    (9, 5), and on weighted shift systems with entries from 1e-6 to 1,
+    moved by a seeded complex map; 30 pairs in all take the block
+    route."""
     pairs = []
     for order in [(6, 6), (12, 12), (9, 5)]:
         for seed, sys in enumerate(catalog_systems(order)):
@@ -1806,9 +1833,8 @@ def test_block_values_match_the_svd_values():
     for base, moved in pairs:
         if base.rank() < base.triple.dim or moved._coordinate_entries is not None:
             continue  # no block route (V = I leaves the moved system coordinate)
-        rowspace_gap(base, moved)
-        assert "_block_values" in moved.__dict__ and "svd" not in moved.__dict__
-        got, ref = moved._singular_values, np.linalg.svd(moved.synthesis, compute_uv=False)
+        got = block_values(base, moved)[1]
+        ref = np.linalg.svd(moved.synthesis, compute_uv=False)
         assert got.shape == ref.shape == (moved.triple.dim,)
         worst = max(worst, np.abs(got - ref).max() / ref[0])
         checked += 1
@@ -1832,13 +1858,78 @@ def test_block_route_on_a_gap_of_order_one_and_any_scale():
         u_k = np.abs(off[:, np.abs(a.synthesis).max(axis=0) == 0.0]).max()
         for factor in (1.0, 1e-160, 1e160, 0.5e-100 / u_k):
             moved = dataclasses.replace(a, synthesis=factor * off)
-            gap = rowspace_gap(a, moved)
-            assert "_block_values" in moved.__dict__ and "svd" not in moved.__dict__
-            got, ref = moved._singular_values, np.linalg.svd(moved.synthesis, compute_uv=False)
+            # the squared bounds of the 1e160 system overflow a float, so
+            # its frame report is not built
+            gap, got = block_values(a, moved, report=factor != 1e160)
+            ref = np.linalg.svd(moved.synthesis, compute_uv=False)
             assert np.abs(got - ref).max() <= 1e-13 * ref[0]
             assert gap == pytest.approx(ref_gap(a, moved), abs=TOL)
             gaps.append(gap)
     assert len(bases) >= 3 and 0.1 < max(gaps) < 2.0 ** -0.5
+
+
+def test_moved_frame_report_leaves_no_state():
+    """moved_frame_report gives the same gap and report bytes on a fresh
+    moved system as on a copy whose frame_bounds was read first, and a
+    later frame_bounds of the moved system has the bytes of a fresh
+    copy's: on the moved similarity and equiv-vector systems of every
+    catalog base at (6, 6), over both routes."""
+    def dump(report):
+        return json.dumps(report.to_dict(), sort_keys=True)
+
+    routes = set()
+    for seed, base in enumerate(catalog_systems((6, 6))):
+        for moved in moved_systems(base, seed):
+            read = dataclasses.replace(moved)
+            frame_bounds(read)
+            gap, report = moved_frame_report(base, moved)
+            routes.add("svd" in vars(moved))
+            again = moved_frame_report(base, read)
+            assert again[0] == gap and dump(again[1]) == dump(report)
+            assert dump(frame_bounds(moved)) == dump(frame_bounds(dataclasses.replace(moved)))
+    assert routes == {True, False}
+
+
+def test_rank_mask_is_the_old_rank_rules():
+    """rank_mask agrees with the inline rules it replaced: the relative
+    cut of null_space_onb and of the coordinate kernel (any order), and
+    those of the pivoted QR and of IterateSystem.rank (largest value
+    first), on empty, all-zero, unsorted and at-threshold inputs."""
+    def any_order(s):
+        return s > s.max(initial=0.0) * KERNEL_RTOL
+
+    def coordinate(mod):  # no empty input: the horizon box has columns
+        return mod > KERNEL_RTOL * mod.max()
+
+    def pivoted(diag):
+        if diag.size == 0 or diag[0] == 0.0:
+            return np.zeros(diag.shape, dtype=bool)
+        return diag > KERNEL_RTOL * diag[0]
+
+    def numerical(s):
+        smax = s[0] if s.size else 0.0
+        return s > KERNEL_RTOL * smax if smax > 0.0 else np.zeros(s.shape, dtype=bool)
+
+    edge = 3.0 * KERNEL_RTOL
+    cases = [np.zeros(0), np.zeros(1), np.zeros(4),
+             np.array([3.0, edge, np.nextafter(edge, 1.0), np.nextafter(edge, 0.0), 0.0]),
+             np.array([1.0, KERNEL_RTOL, 0.5 * KERNEL_RTOL, 0.0]),
+             np.array([2.0]), np.array([1e-300, 1e-311, 0.0])]
+    cases += [np.sort(s)[::-1] for s in cases]
+    cases += [np.array([edge, 0.0, 3.0, 1.0, np.nextafter(edge, 0.0)]),
+              np.array([0.0, 5e-11, 1.0, 1e-10, 2.0]),
+              np.random.default_rng(3).permutation(np.logspace(-14, 0, 15))]
+    for s in cases:
+        mask = rank_mask(s)
+        assert mask.dtype == bool and mask.shape == s.shape
+        np.testing.assert_array_equal(mask, any_order(s))
+        if s.size:
+            np.testing.assert_array_equal(mask, coordinate(s))
+        if np.all(s[:-1] >= s[1:]):
+            np.testing.assert_array_equal(mask, pivoted(s))
+            np.testing.assert_array_equal(mask, numerical(s))
+    # at the cut itself a value is out: 3 KERNEL_RTOL against 3.0 counts as zero
+    assert [int(rank_mask(s).sum()) for s in cases[:7]] == [0, 0, 0, 2, 1, 1, 1]
 
 
 @pytest.mark.filterwarnings("ignore:submodule is approximate")

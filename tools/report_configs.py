@@ -33,10 +33,14 @@ One JSON config per file, all in csv format:
   equiv-vector: a coordinate base of rank 13 below its dimension 17,
   with 65 columns, so its moved systems take the SVD, not the values of
   their k x k block;
+- inner-z2w at (8, 8) with horizon (12, 4) and the same two checks: a
+  coordinate base of rank 17 below its dimension 25, where the map V of
+  equiv-vector is not the identity, so its moved system is dense and
+  takes the equal-rank gap of rowspace_gap;
 - the constant inner at (3, 3) with all checks: the one config whose
   quotient is trivial, so its complement basis K has no columns.
 
-180 configs in all.
+181 configs in all.
 
 The codimension check needs an inner recipe, so fixtures without one
 (generated-zw, riesz-model) skip it; every config then runs without a
@@ -107,6 +111,9 @@ def configs() -> dict[str, dict]:
     out["inner-zw.similarity-8-horizon-12-4"] = {"fixture": "inner-zw", "order": [8, 8],
                                                  "horizon": [12, 4],
                                                  "checks": ["similarity", "equiv-vector"]}
+    out["inner-z2w.similarity-8-horizon-12-4"] = {"fixture": "inner-z2w", "order": [8, 8],
+                                                  "horizon": [12, 4],
+                                                  "checks": ["similarity", "equiv-vector"]}
     out["constant-inner.all-3"] = {"inner": {"kind": "monomial", "degree": [0, 0]},
                                    "order": [3, 3], "checks": list(CHECK_NAMES)}
     for cfg in out.values():
