@@ -86,6 +86,7 @@ __all__ = [
     "kernel_shift_invariance",
     "kernel_doubly_commutes",
     "CLASS_RTOL",
+    "COMMUTE_TOL",
     "KERNEL_RTOL",
 ]
 
@@ -94,6 +95,7 @@ DIM_LIMIT = 2000
 COLS_LIMIT = 100_000
 CLASS_RTOL = 1e-8
 COMM_TOL = 1e-10
+COMMUTE_TOL = 1e-8  # "doubly commutes", for submodules and synthesis kernels
 
 
 class GuardError(RuntimeError):
@@ -430,7 +432,7 @@ def frame_bounds(sys: IterateSystem) -> FrameReport:
     built on the first read of report.bound_trace (see
     IterateSystem.bound_trace).
 
-    Classification precedence: not_frame (lower bound below rtol times
+    Classification precedence: not_frame (lower bound at most rtol times
     the upper), else minimal_frame when the synthesis kernel is trivial,
     else parseval when the frame operator is the identity to rtol, else
     frame.  Bound-trace entries are nondecreasing in the horizon because
@@ -446,15 +448,15 @@ def _report(sys: IterateSystem, s: np.ndarray) -> FrameReport:
     """The frame report of sys from the singular values s of its synthesis
     matrix, in descending order.  The frame operator U U^H has their
     squares as its nonzero eigenvalues; with fewer than dim of them it is
-    singular."""
-    upper = float(s[0]) ** 2 if s.size else 0.0
-    lower = float(s[-1]) ** 2 if s.size == sys.triple.dim else 0.0
+    singular.  The class is read off s_min / s_max, which is scale free;
+    the squared bounds saturate to inf or 0.0, and never raise."""
+    s_max = float(s[0]) if s.size else 0.0
+    s_min = float(s[-1]) if s.size == sys.triple.dim else 0.0
+    upper, lower = s_max * s_max, s_min * s_min
     kernel_dim = sys.ncols - int(np.count_nonzero(rank_mask(s)))
 
-    if upper <= 0.0 or lower <= CLASS_RTOL * upper:
+    if s_max == 0.0 or (s_min / s_max) ** 2 <= CLASS_RTOL:
         classification = "not_frame"
-        if upper <= 0.0:
-            lower = upper = 0.0
     elif kernel_dim == 0:
         classification = "minimal_frame"
     # the frame operator is Hermitian: ||S - I|| is the largest
@@ -656,7 +658,7 @@ def kernel_doubly_commutes(sys: IterateSystem) -> KernelCommuteReport:
     residual = max(rz, rw)
     return KernelCommuteReport(
         residual=float(residual),
-        verdict=bool(residual <= CLASS_RTOL),
+        verdict=bool(residual <= COMMUTE_TOL),
         vacuous=False,
         inconclusive=False,
         residual_z=float(rz),

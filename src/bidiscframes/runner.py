@@ -8,6 +8,12 @@ iterate system and its reports.  Given a seed, every run is
 deterministic down to the report bytes; timestamps go to a separate
 metadata file so reports can be compared directly.
 
+Each check (_REGISTRY) only computes: it returns its report data, with a
+note when it has one.  Its verdict is a rule of that data alone, one per
+check in the _PASS table, which states every threshold the runner judges
+by; _run_check pairs the two into a CheckResult.  A report read back from
+its JSON file is judged the same way.
+
 Exit-code contract: 0 all checks pass, 1 a mathematical check failed,
 2 config error (raised as ValueError), 3 numerical guard (GuardError).
 A check whose mathematical precondition is false (PreconditionError, for
@@ -389,10 +395,10 @@ class RunContext:
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
-# --- checks ------------------------------------------------------------
+# --- checks: each returns its data, or (data, note), and judges nothing --
 
 
-def _check_build(ctx: RunContext) -> CheckResult:
+def _check_build(ctx: RunContext) -> dict:
     sub = ctx.submodule
     quot = ctx.quotient
     data = {
@@ -405,7 +411,7 @@ def _check_build(ctx: RunContext) -> CheckResult:
     }
     if sub.inner is not None:
         data["truncation_tail"] = sub.inner.trunc_error
-    return CheckResult("build-module", True, data)
+    return data
 
 
 def _monomial_box(spec: InnerSpec) -> tuple[int, int]:
@@ -415,7 +421,7 @@ def _monomial_box(spec: InnerSpec) -> tuple[int, int]:
     return tuple(max(d) for d in zip((0, 0), *map(_monomial_box, spec.factors)))
 
 
-def _check_codimension(ctx: RunContext) -> CheckResult:
+def _check_codimension(ctx: RunContext) -> dict:
     if ctx.cfg.inner is None:
         raise ValueError("codimension check requires an inner recipe")
     top = min(ctx.cfg.order)
@@ -423,15 +429,8 @@ def _check_codimension(ctx: RunContext) -> CheckResult:
     ks = list(range(max(2, a, b), top + 1)) or [max(top, a, b)]
     orders = [(k, k) for k in ks]
     profile = codimension_profile(ctx.cfg.inner, orders)
-    constant = ctx.cfg.inner.degree == (0, 0)
-    if constant:
-        passed = all(c == 0 for c in profile)
-    else:
-        passed = all(b > a for a, b in zip(profile, profile[1:]))
-    return CheckResult(
-        "codimension", passed,
-        {"orders": orders, "profile": profile, "constant_inner": constant},
-    )
+    return {"orders": orders, "profile": profile,
+            "constant_inner": ctx.cfg.inner.degree == (0, 0)}
 
 
 def _fields(rep, *names) -> dict:
@@ -439,71 +438,54 @@ def _fields(rep, *names) -> dict:
     return {name: getattr(rep, name) for name in names}
 
 
-def _check_mandrekar(ctx: RunContext) -> CheckResult:
+def _check_mandrekar(ctx: RunContext) -> tuple[dict, str]:
     rep = doubly_commute_test(ctx.submodule)
     data = _fields(rep, "residual_interior", "verdict", "residual_z", "residual_w",
                    "n_interior_z", "n_interior_w")
-    note = "double-commutation holds" if rep.verdict else "double-commutation fails"
-    return CheckResult("mandrekar", True, data, note=note)
+    return data, "double-commutation holds" if rep.verdict else "double-commutation fails"
 
 
-def _check_jordan(ctx: RunContext) -> CheckResult:
-    res = jordan_identity_check(ctx.quotient)
-    passed = res["max_residual"] <= 1e-9
-    return CheckResult("jordan", passed, res)
+def _check_jordan(ctx: RunContext) -> dict:
+    return jordan_identity_check(ctx.quotient)
 
 
-def _check_parseval(ctx: RunContext) -> CheckResult:
-    rep = frame_bounds(ctx.system)
-    tol = 1e-10
-    passed = abs(rep.lower - 1.0) <= tol and abs(rep.upper - 1.0) <= tol
-    data = rep.to_dict()
-    data["tolerance"] = tol
-    return CheckResult("parseval", passed, data)
+def _check_parseval(ctx: RunContext) -> dict:
+    return {**frame_bounds(ctx.system).to_dict(), "tolerance": _PARSEVAL_TOL}
 
 
-def _check_frame_bounds(ctx: RunContext) -> CheckResult:
-    rep = frame_bounds(ctx.system)
-    return CheckResult("frame-bounds", rep.is_frame, rep.to_dict())
+def _check_frame_bounds(ctx: RunContext) -> dict:
+    return frame_bounds(ctx.system).to_dict()
 
 
-def _kernel_check(name: str, rep, *names) -> CheckResult:
-    """The one rule of the kernel checks: an inconclusive report passes
-    with no residual, any other passes when it is vacuous or its residual
-    is at most 1e-8, and the data holds the named report fields."""
+def _kernel_data(rep, *names) -> tuple[dict, str]:
+    """(data, note) of a kernel report: an inconclusive report gives only
+    that flag with n_checked 0, any other the named report fields; the
+    note is the report's message."""
     if rep.inconclusive:
-        return CheckResult(name, True, {"inconclusive": True, "n_checked": 0},
-                           note=rep.message)
-    passed = rep.vacuous or rep.residual <= 1e-8
-    return CheckResult(name, passed, _fields(rep, *names), note=rep.message)
+        return {"inconclusive": True, "n_checked": 0}, rep.message
+    return _fields(rep, *names), rep.message
 
 
-def _check_kernel_invariance(ctx: RunContext) -> CheckResult:
-    return _kernel_check("kernel-invariance", kernel_shift_invariance(ctx.system),
-                         "residual", "vacuous", "inconclusive", "n_checked")
+def _check_kernel_invariance(ctx: RunContext) -> tuple[dict, str]:
+    return _kernel_data(kernel_shift_invariance(ctx.system),
+                        "residual", "vacuous", "inconclusive", "n_checked")
 
 
-def _check_kernel_commutes(ctx: RunContext) -> CheckResult:
-    return _kernel_check("kernel-doubly-commutes", kernel_doubly_commutes(ctx.system),
-                         "residual", "verdict", "vacuous", "residual_z", "residual_w",
-                         "n_checked")
+def _check_kernel_commutes(ctx: RunContext) -> tuple[dict, str]:
+    return _kernel_data(kernel_doubly_commutes(ctx.system),
+                        "residual", "verdict", "vacuous", "residual_z", "residual_w",
+                        "n_checked")
 
 
-def _check_riesz(ctx: RunContext) -> CheckResult:
+def _check_riesz(ctx: RunContext) -> dict:
     """The plain shift pair with constant seed over the config order: the
     quotient of the zero submodule, built after the space guard."""
     space = ctx.space
     triple = triple_from_quotient(quotient(zero_submodule(space)))
-    rep = frame_bounds(iterate(triple, space.order))
-    passed = (
-        rep.classification == "minimal_frame"
-        and abs(rep.lower - 1.0) <= 1e-12
-        and abs(rep.upper - 1.0) <= 1e-12
-    )
-    return CheckResult("riesz", passed, rep.to_dict())
+    return frame_bounds(iterate(triple, space.order)).to_dict()
 
 
-def _check_similarity(ctx: RunContext) -> CheckResult:
+def _check_similarity(ctx: RunContext) -> dict:
     rng = ctx.transport_rng()
     base = frame_bounds(ctx.system)
     cap = ctx.cfg.condition_cap
@@ -516,23 +498,10 @@ def _check_similarity(ctx: RunContext) -> CheckResult:
     moved_sys = iterate(moved_triple, ctx.cfg.horizon)
     # kernel gap = row-space gap, since P_N = I - P_R
     gap, moved = moved_frame_report(ctx.system, moved_sys)
-
-    smin, smax = witness.sigma_min, witness.sigma_max
-    slack = 1e-9
-    bracket_ok = (
-        moved.lower >= smin**2 * base.lower - slack
-        and moved.upper <= smax**2 * base.upper + slack
-    )
     l_est = estimate_similarity(ctx.system, moved_sys)
     uniq = uniqueness_of_L(ctx.system, l, l_est, moved_triple, svals)
-    passed = (
-        witness.certified
-        and base.is_frame == moved.is_frame
-        and bracket_ok
-        and gap <= 1e-10
-        and uniq.distance <= 1e-8
-    )
-    data = {
+    smin, smax = witness.sigma_min, witness.sigma_max
+    return {
         "condition": witness.cond,
         "certified": witness.certified,
         "base_bounds": [base.lower, base.upper],
@@ -543,27 +512,14 @@ def _check_similarity(ctx: RunContext) -> CheckResult:
         "kernel_distance": gap,
         "witness_distance": uniq.distance,
     }
-    return CheckResult("similarity", passed, data)
 
 
-def _check_recover(ctx: RunContext) -> CheckResult:
+def _check_recover(ctx: RunContext) -> dict:
     rec = recover_model(ctx.system)
-    gap = subspace_distance(synthesis_rowspace(ctx.system), rec.k_onb)
-    passed = (
-        rec.intertwine_residual_z <= 1e-7
-        and rec.intertwine_residual_w <= 1e-7
-        and rec.residual_phi <= 1e-8
-        and gap <= 1e-8
-    )
-    data = {
-        "k_dim": rec.k_dim,
-        "intertwine_residual_z": rec.intertwine_residual_z,
-        "intertwine_residual_w": rec.intertwine_residual_w,
-        "residual_phi": rec.residual_phi,
-        "cond_W": rec.cond_W,
-        "rowspace_gap": gap,
-    }
-    return CheckResult("recover", passed, data)
+    data = _fields(rec, "k_dim", "intertwine_residual_z", "intertwine_residual_w",
+                   "residual_phi", "cond_W")
+    data["rowspace_gap"] = subspace_distance(synthesis_rowspace(ctx.system), rec.k_onb)
+    return data
 
 
 def _decay_horizon(cfg: ExperimentConfig) -> DegreePair:
@@ -573,23 +529,17 @@ def _decay_horizon(cfg: ExperimentConfig) -> DegreePair:
 
 def _trace_data(trace) -> dict:
     """Report data of an orbit trace (decay and probe-conjecture)."""
-    return {
-        "direction": trace.direction,
-        "tail_max": trace.tail_max,
-        "corner": trace.corner,
-        "decayed": trace.decayed,
-        "norms": trace.norms,
-    }
+    return _fields(trace, "direction", "tail_max", "corner", "decayed", "norms")
 
 
-def _check_decay(ctx: RunContext) -> CheckResult:
+def _check_decay(ctx: RunContext) -> tuple[dict, str]:
     rng = ctx.rng()
     f = ctx.random_vector(rng)
     trace = adjoint_decay(ctx.triple, f, _decay_horizon(ctx.cfg))
-    return CheckResult("decay", trace.decayed, _trace_data(trace), note=trace.note)
+    return _trace_data(trace), trace.note
 
 
-def _check_probe(ctx: RunContext) -> CheckResult:
+def _check_probe(ctx: RunContext) -> tuple[dict, str]:
     rng = ctx.rng()
     f = ctx.random_vector(rng)
     kc = kernel_doubly_commutes(ctx.system)
@@ -599,23 +549,20 @@ def _check_probe(ctx: RunContext) -> CheckResult:
             warnings.simplefilter("ignore")
         trace = conjecture_probe(ctx.triple, f, _decay_horizon(ctx.cfg),
                                  kernel_verdict=verdict)
-    data = {**_trace_data(trace), "kernel_verdict": verdict, "evidence_only": True}
-    return CheckResult("probe-conjecture", True, data, note=trace.note)
+    return {**_trace_data(trace), "kernel_verdict": verdict, "evidence_only": True}, trace.note
 
 
-def _check_equiv_vector(ctx: RunContext) -> CheckResult:
+def _check_equiv_vector(ctx: RunContext) -> dict:
     t = ctx.triple
     v = np.eye(t.dim, dtype=t.T1.dtype) + 0.5 * (t.T1 @ t.T2)
     base = frame_bounds(ctx.system)
     moved = equivalent_frame_report(ctx.system, v)
-    passed = base.classification == moved.classification
-    data = {
+    return {
         "map": "I + 0.5 T1 T2",
         "base_class": base.classification,
         "moved_class": moved.classification,
         "moved_bounds": [moved.lower, moved.upper],
     }
-    return CheckResult("equiv-vector", passed, data)
 
 
 _REGISTRY = {
@@ -637,6 +584,52 @@ _REGISTRY = {
 
 CHECK_NAMES = tuple(_REGISTRY)
 _STAGE = {name: i for i, name in enumerate(_REGISTRY)}
+
+
+# --- verdicts: one rule per check, reading only its data ------------------
+
+_PARSEVAL_TOL = 1e-10  # recorded in the parseval data as its tolerance
+
+
+def _near_one(d: dict, tol: float) -> bool:
+    """Both frame bounds of the data within tol of 1."""
+    return abs(d["lower"] - 1.0) <= tol and abs(d["upper"] - 1.0) <= tol
+
+
+def _in_bracket(d: dict, slack: float) -> bool:
+    """The moved frame bounds inside the singular bracket, up to slack."""
+    (lower, upper), (low, high) = d["moved_bounds"], d["singular_bracket"]
+    return lower >= low - slack and upper <= high + slack
+
+
+_PASS = {
+    "build-module": lambda d: True,
+    # codimension 0 at every order for a constant inner, else strictly growing
+    "codimension": lambda d: (
+        all(c == 0 for c in d["profile"]) if d["constant_inner"]
+        else all(a < b for a, b in zip(d["profile"], d["profile"][1:]))),
+    "mandrekar": lambda d: True,  # its verdict is evidence, in the data
+    "jordan": lambda d: d["max_residual"] <= 1e-9,
+    "parseval": lambda d: _near_one(d, _PARSEVAL_TOL),
+    "frame-bounds": lambda d: d["classification"] != "not_frame",
+    "kernel-invariance": lambda d: (
+        d["inconclusive"] or d["vacuous"] or d["residual"] <= 1e-8),
+    "kernel-doubly-commutes": lambda d: d.get("inconclusive", False) or d["verdict"],
+    "riesz": lambda d: d["classification"] == "minimal_frame" and _near_one(d, 1e-12),
+    "similarity": lambda d: (
+        d["certified"]
+        and (d["base_class"] == "not_frame") == (d["moved_class"] == "not_frame")
+        and _in_bracket(d, 1e-9)
+        and d["kernel_distance"] <= 1e-10
+        and d["witness_distance"] <= 1e-8),
+    "recover": lambda d: (
+        all(d[f"intertwine_residual_{axis}"] <= 1e-7 for axis in "zw")
+        and d["residual_phi"] <= 1e-8
+        and d["rowspace_gap"] <= 1e-8),
+    "decay": lambda d: d["decayed"],
+    "probe-conjecture": lambda d: True,  # evidence only
+    "equiv-vector": lambda d: d["base_class"] == d["moved_class"],
+}
 
 
 def _write_report(path: Path, text: str):
@@ -696,10 +689,15 @@ def _csv_mirror(result: CheckResult, prefix: Path) -> list[str]:
 
 
 def _run_check(name: str, ctx: RunContext) -> CheckResult:
+    """Run one check and judge its data by its rule in _PASS.  A false
+    precondition or a failed invariant is a FAIL with no data and the
+    reason as its note."""
     try:
-        return _REGISTRY[name](ctx)
+        out = _REGISTRY[name](ctx)
     except (PreconditionError, InvariantViolation) as exc:
         return CheckResult(name, False, {}, note=str(exc))
+    data, note = out if isinstance(out, tuple) else (out, "")
+    return CheckResult(name, bool(_PASS[name](data)), data, note=note)
 
 
 def run(cfg: ExperimentConfig) -> RunOutcome:

@@ -66,7 +66,7 @@ from ._linalg import (
     opnorm,
     orthonormal_split,
 )
-from .frames import COMM_TOL, PreconditionError
+from .frames import COMM_TOL, COMMUTE_TOL, PreconditionError
 from .hardy import BidiscPoly, DegreePair, TruncatedSpace, shift_rows
 from .inner import InnerPoly, InnerSpec, build_inner
 
@@ -87,7 +87,6 @@ __all__ = [
 ]
 
 APPROX_WARN_LEVEL = 1e-6
-COMMUTE_TOL = 1e-8
 COMPLEMENT_TOL = 1e-10
 
 

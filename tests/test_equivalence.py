@@ -1794,18 +1794,18 @@ def moved_systems(sys, seed):
     return [transported(sys, seed), iterate(t.with_seed(v @ t.phi), sys.horizon)]
 
 
-def block_values(base, moved, report=True):
+def block_values(base, moved):
     """(gap, values) of the k x k block route of moved over the coordinate
     base: _block_gap caches nothing on moved, and moved_frame_report
     returns that gap with a report built from those values, and takes no
-    SVD of moved (report=False skips that call)."""
+    SVD of moved."""
     cached = set(vars(moved))
     gap, values = _block_gap(moved, _coordinate_kernel(base)[0].ravel())
     assert set(vars(moved)) == cached
-    if report:
-        got, rep = moved_frame_report(base, moved)
-        assert "svd" not in vars(moved) and got == gap
-        assert rep.upper == float(values[0]) ** 2 and rep.lower == float(values[-1]) ** 2
+    got, rep = moved_frame_report(base, moved)
+    assert "svd" not in vars(moved) and got == gap
+    top, bottom = float(values[0]), float(values[-1])
+    assert rep.upper == top * top and rep.lower == bottom * bottom
     return gap, values
 
 
@@ -1847,7 +1847,9 @@ def test_block_route_on_a_gap_of_order_one_and_any_scale():
     degrees, so C is far from I) and with the synthesis matrix scaled by
     1e-160, 1e160, or so that U_K falls below 1e-100 while B does not, the
     block route gives the dense reference's gap and singular values: the
-    gap to 1e-12, the values to 1e-13 times s0."""
+    gap to 1e-12, the values to 1e-13 times s0.  Its frame report is built
+    at every scale (the squared bounds of the 1e160 system saturate to
+    inf), with the class of the unscaled system."""
     rng = np.random.default_rng(20261021)
     bases = [a for a in catalog_systems((6, 6))
              if a._coordinate_entries is not None and a.rank() == a.triple.dim < a.ncols]
@@ -1856,11 +1858,11 @@ def test_block_route_on_a_gap_of_order_one_and_any_scale():
         l = random_similarity(a.triple.dim, rng)
         off = l @ (a.synthesis + 0.03 * _random_matrix(rng, a.synthesis.shape, True))
         u_k = np.abs(off[:, np.abs(a.synthesis).max(axis=0) == 0.0]).max()
+        kind = moved_frame_report(a, dataclasses.replace(a, synthesis=off))[1].classification
         for factor in (1.0, 1e-160, 1e160, 0.5e-100 / u_k):
             moved = dataclasses.replace(a, synthesis=factor * off)
-            # the squared bounds of the 1e160 system overflow a float, so
-            # its frame report is not built
-            gap, got = block_values(a, moved, report=factor != 1e160)
+            gap, got = block_values(a, moved)
+            assert moved_frame_report(a, moved)[1].classification == kind
             ref = np.linalg.svd(moved.synthesis, compute_uv=False)
             assert np.abs(got - ref).max() <= 1e-13 * ref[0]
             assert gap == pytest.approx(ref_gap(a, moved), abs=TOL)

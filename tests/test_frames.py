@@ -11,8 +11,10 @@ from bidiscframes.frames import (
     iterate,
     kernel_doubly_commutes,
     kernel_shift_invariance,
+    moved_frame_report,
     synthesis_kernel,
 )
+from bidiscframes.fixtures import get_fixture
 from bidiscframes.hardy import make_space, shift_matrix
 from bidiscframes.inner import InnerSpec, build_inner
 from bidiscframes.models import triple_from_quotient
@@ -203,3 +205,23 @@ def test_report_serialization():
     assert isinstance(d["bound_trace"], list)
     assert len(d["bound_trace"]) == len(rep.bound_trace) == 5
     assert d["rtol"] == rep.rtol == CLASS_RTOL
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("inner-zw", "frame"), ("inner-z2w", "frame"), ("riesz-model", "minimal_frame"),
+])
+def test_frame_class_at_any_seed_scale(name, kind):
+    """A seed scaled by c scales the frame bounds by |c|^2, so the class of
+    a frame does not depend on c (a Parseval frame becomes a frame).  The
+    squared bounds saturate to inf or 0.0 outside the float range, and
+    neither frame_bounds nor moved_frame_report raises."""
+    space = make_space((6, 6))
+    triple = triple_from_quotient(quotient(get_fixture(name).make_submodule(space)))
+    base = iterate(triple, (6, 6))
+    for c in (1e160, 1e170, 1e-160, 1e-170):
+        scaled = iterate(triple.with_seed(c * triple.phi), (6, 6))
+        rep = frame_bounds(scaled)
+        gap, moved = moved_frame_report(base, scaled)
+        # the synthesis entries are c times +-1, so the bounds are c * c
+        assert rep.lower == rep.upper == moved.lower == moved.upper == c * c
+        assert rep.classification == moved.classification == kind and gap == 0.0
