@@ -21,31 +21,21 @@ from .runner import ExperimentConfig, run, run_suite
 
 __all__ = ["main", "entry"]
 
-# subcommand -> forced check list
+# subcommand -> (forced check, help)
 _CHECK_COMMANDS = {
-    "build-module": ("build-module",),
-    "jordan": ("jordan",),
-    "frame-check": ("frame-bounds",),
-    "similarity": ("similarity",),
-    "recover": ("recover",),
-    "decay": ("decay",),
-    "probe-conjecture": ("probe-conjecture",),
-    "equiv-vector": ("equiv-vector",),
+    "build-module": ("build-module", "build the submodule and quotient, report dimensions"),
+    "jordan": ("jordan", "sweep the compressed-shift iterate identity over interior degrees"),
+    "frame-check": ("frame-bounds", "frame bounds, classification, and kernel dimension"),
+    "similarity": ("similarity",
+                   "transport by a seeded random similarity and verify invariants"),
+    "recover": ("recover", "read the quotient model back off the synthesis matrix"),
+    "decay": ("decay", "adjoint orbit norms over the decay horizon"),
+    "probe-conjecture": ("probe-conjecture", "forward orbit norms, recorded as evidence only"),
+    "equiv-vector": ("equiv-vector", "re-seed with a commuting invertible map and compare"),
 }
 
 # exit code -> what stopped the run
 _FAILURE = {2: "config error", 3: "guard tripped"}
-
-_CHECK_HELP = {
-    "build-module": "build the submodule and quotient, report dimensions",
-    "jordan": "sweep the compressed-shift iterate identity over interior degrees",
-    "frame-check": "frame bounds, classification, and kernel dimension",
-    "similarity": "transport by a seeded random similarity and verify invariants",
-    "recover": "read the quotient model back off the synthesis matrix",
-    "decay": "adjoint orbit norms over the decay horizon",
-    "probe-conjecture": "forward orbit norms, recorded as evidence only",
-    "equiv-vector": "re-seed with a commuting invertible map and compare",
-}
 
 
 def _add_common(parser: argparse.ArgumentParser, config_required: bool = True):
@@ -67,10 +57,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, checks in _CHECK_COMMANDS.items():
-        p = sub.add_parser(name, help=_CHECK_HELP[name])
+    for name, (check, help_text) in _CHECK_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        p.set_defaults(func=_cmd_checks, checks=checks)
+        p.set_defaults(func=_cmd_checks, check=check)
 
     p = sub.add_parser("suite", help="run a config, or every config in a directory, as written")
     _add_common(p)
@@ -96,7 +86,7 @@ def _report(outcome) -> int:
 
 
 def _cmd_checks(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config, checks=list(args.checks),
+    cfg = ExperimentConfig.from_file(args.config, checks=[args.check],
                                      **_overrides(args))
     return _report(run(cfg))
 

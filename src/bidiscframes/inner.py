@@ -8,8 +8,10 @@ on a degree box truncates; the truncation is certified by an l2 tail
 bound carried on the result.
 
 Every such function is separable, theta(z, w) = theta1(z) theta2(w), and
-its truncation is the product of the two one-variable truncations, so
-the result also carries theta1 and theta2 as coefficient arrays
+its truncation is the product of the two one-variable truncations.  So
+the one-variable factors are the one computation: build_inner makes one
+pass over the spec, multiplying coefficient arrays and carrying the tail
+bound, and reads the polynomial off the two factors it returns
 (InnerPoly.axis_factors).
 """
 
@@ -141,9 +143,10 @@ class InnerPoly:
     represents it on a degree box, and an l2 bound on the dropped tail
     (0 for purely monomial specs).
 
-    axis_factors, when known, holds the coefficient arrays of theta1(z) and
-    theta2(w), truncated to the box, with poly = theta1(z) theta2(w) up
-    to rounding; build_inner always sets it.
+    axis_factors holds the coefficient arrays of theta1(z) and theta2(w),
+    truncated to the box; build_inner always sets it, and poly is read
+    off it, poly[i, j] = theta1[i] theta2[j].  A caller may set it to
+    None to hand on the polynomial alone.
     """
 
     spec: InnerSpec
@@ -179,34 +182,6 @@ def _factor_series(alpha: complex, order: int):
     return c, tail
 
 
-def _clip_to_box(f: BidiscPoly, order: DegreePair):
-    """Split off coefficients outside the box; returns (kept, l2_of_dropped)."""
-    kept: dict[tuple[int, int], complex] = {}
-    dropped_sq = 0.0
-    for (i, j), c in f.coeffs.items():
-        if i <= order.d1 and j <= order.d2:
-            kept[(i, j)] = c
-        else:
-            dropped_sq += abs(c) ** 2
-    return BidiscPoly(kept), math.sqrt(dropped_sq)
-
-
-def _accumulate(acc: BidiscPoly, acc_err: float, fpoly: BidiscPoly,
-                ftail: float, order: DegreePair):
-    """Multiply a certified truncation by one more inner factor.
-
-    If P is inner with ||P - acc|| <= acc_err and F is inner with
-    ||F - fpoly|| <= ftail, then, because multiplication by an inner
-    function is isometric and the truncated factor's multiplier norm is
-    at most its coefficient l1 norm,
-
-        ||P F - clip(acc * fpoly)|| <= acc_err + l1(acc) ftail + dropped.
-    """
-    l1 = sum(abs(c) for c in acc.coeffs.values())
-    clipped, dropped = _clip_to_box(acc * fpoly, order)
-    return clipped, acc_err + l1 * ftail + dropped
-
-
 def _unit(a: int) -> np.ndarray:
     """Coefficients of t^a."""
     c = np.zeros(a + 1, dtype=np.complex128)
@@ -214,8 +189,59 @@ def _unit(a: int) -> np.ndarray:
     return c
 
 
-def _truncated_product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    return np.convolve(a, b)[: order + 1]
+def _l2(c: np.ndarray) -> float:
+    # |x|^2 summed in index order: np.linalg.norm rounds complex entries
+    # differently, which would move the tails of complex zeros
+    return math.sqrt(sum(abs(x) ** 2 for x in c))
+
+
+def _times(theta, err: float, factor, tail: float, order: DegreePair):
+    """Multiply a certified separable truncation by one more inner factor.
+
+    theta and factor are pairs of one-variable coefficient arrays.  If P
+    is inner with ||P - theta1 theta2|| <= err and F is inner with
+    ||F - factor1 factor2|| <= tail, then, because multiplication by an
+    inner function is isometric and the truncated factor's multiplier
+    norm is at most its coefficient l1 norm,
+
+        ||P F - clip(theta1 factor1 theta2 factor2)||
+            <= err + l1(theta1) l1(theta2) tail + dropped.
+
+    Each axis product f splits into the part k the box keeps and the part
+    d it cuts; the box cuts the orthogonal pieces d1 (x) f2 and k1 (x) d2,
+    so dropped = hypot(|d1| |f2|, |k1| |d2|).
+    """
+    full = [np.convolve(t, f) for t, f in zip(theta, factor)]
+    kept = tuple(f[: d + 1] for f, d in zip(full, order))
+    cut = [_l2(f[d + 1:]) for f, d in zip(full, order)]
+    l1 = float(np.abs(theta[0]).sum() * np.abs(theta[1]).sum())
+    dropped = math.hypot(cut[0] * _l2(full[1]), _l2(kept[0]) * cut[1])
+    return kept, err + l1 * tail + dropped
+
+
+def _truncate(spec: InnerSpec, order: DegreePair):
+    """One pass over the spec: the axis factors (theta1, theta2) truncated
+    to the box, and a certified l2 bound on what the box dropped."""
+    if spec.kind == "monomial":
+        if not order.covers(spec.degree):
+            raise ValueError(
+                f"monomial degree {tuple(spec.degree)} exceeds box {tuple(order)}"
+            )
+        return (_unit(spec.degree.d1), _unit(spec.degree.d2)), 0.0
+    theta, err = (_unit(0), _unit(0)), 0.0
+    if spec.kind in ("blaschke_z", "blaschke_w"):
+        axis = 0 if spec.kind == "blaschke_z" else 1
+        for zero in spec.zeros:
+            series, tail = _factor_series(zero, order[axis])
+            factor = (series, _unit(0)) if axis == 0 else (_unit(0), series)
+            theta, err = _times(theta, err, factor, tail, order)
+        return theta, err
+    if spec.kind == "product":
+        for f in spec.factors:
+            factor, tail = _truncate(f, order)
+            theta, err = _times(theta, err, factor, tail, order)
+        return theta, err
+    raise ValueError(f"unknown inner kind {spec.kind!r}")
 
 
 def build_inner(spec: InnerSpec, order) -> InnerPoly:
@@ -224,44 +250,13 @@ def build_inner(spec: InnerSpec, order) -> InnerPoly:
     Monomial specs must fit inside the box and come back exact.  Factor
     products are expanded to the box order in their variable; the
     returned trunc_error is a certified l2 bound for everything dropped.
+    The polynomial is read off the axis factors, theta1(z) theta2(w).
     """
     order = _as_degree(order)
-    if spec.kind == "monomial":
-        if not order.covers(spec.degree):
-            raise ValueError(
-                f"monomial degree {tuple(spec.degree)} exceeds box {tuple(order)}"
-            )
-        a, b = spec.degree
-        return InnerPoly(spec=spec, poly=BidiscPoly.monomial(a, b), trunc_error=0.0,
-                         axis_factors=(_unit(a), _unit(b)))
-
-    if spec.kind in ("blaschke_z", "blaschke_w"):
-        axis_order = order.d1 if spec.kind == "blaschke_z" else order.d2
-        acc, err = BidiscPoly.one(), 0.0
-        theta = _unit(0)
-        for zero in spec.zeros:
-            series, tail = _factor_series(zero, axis_order)
-            if spec.kind == "blaschke_z":
-                fpoly = BidiscPoly({(k, 0): series[k] for k in range(axis_order + 1)})
-            else:
-                fpoly = BidiscPoly({(0, k): series[k] for k in range(axis_order + 1)})
-            acc, err = _accumulate(acc, err, fpoly, tail, order)
-            theta = _truncated_product(theta, series, axis_order)
-        axes = (theta, _unit(0)) if spec.kind == "blaschke_z" else (_unit(0), theta)
-        return InnerPoly(spec=spec, poly=acc, trunc_error=err, axis_factors=axes)
-
-    if spec.kind == "product":
-        acc, err = BidiscPoly.one(), 0.0
-        theta1, theta2 = _unit(0), _unit(0)
-        for factor in spec.factors:
-            built = build_inner(factor, order)
-            acc, err = _accumulate(acc, err, built.poly, built.trunc_error, order)
-            theta1 = _truncated_product(theta1, built.axis_factors[0], order.d1)
-            theta2 = _truncated_product(theta2, built.axis_factors[1], order.d2)
-        return InnerPoly(spec=spec, poly=acc, trunc_error=err,
-                         axis_factors=(theta1, theta2))
-
-    raise ValueError(f"unknown inner kind {spec.kind!r}")
+    (theta1, theta2), err = _truncate(spec, order)
+    poly = BidiscPoly({(i, j): theta1[i] * theta2[j]
+                       for i in np.flatnonzero(theta1) for j in np.flatnonzero(theta2)})
+    return InnerPoly(spec=spec, poly=poly, trunc_error=err, axis_factors=(theta1, theta2))
 
 
 def verify_unimodular(ip: InnerPoly, grid: int = DEFAULT_GRID) -> UnimodularReport:

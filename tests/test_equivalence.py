@@ -39,12 +39,16 @@ pins the k x k block of a moved system: its singular values against the
 SVD's, a moved_frame_report that does not depend on what was read
 before, the one rank rule against the rules it replaced, and no
 factorisation of a moved synthesis matrix over a coordinate base in the
-similarity and equiv-vector checks.
+similarity and equiv-vector checks.  The last section pins build_inner,
+which truncates an inner function in one pass over its axis factors, to
+the dict-based truncation it replaced, and checks that its tail bound
+covers the distance to a long truncation.
 """
 
 import dataclasses
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -86,8 +90,8 @@ from bidiscframes.frames import (
     synthesis_kernel,
     synthesis_rowspace,
 )
-from bidiscframes.hardy import BidiscPoly, make_space, shift_matrix, shift_rows
-from bidiscframes.inner import InnerSpec, build_inner
+from bidiscframes.hardy import BidiscPoly, DegreePair, make_space, shift_matrix, shift_rows
+from bidiscframes.inner import InnerPoly, InnerSpec, _factor_series, build_inner
 from bidiscframes.models import (
     WITNESS_TOL,
     estimate_similarity,
@@ -1986,3 +1990,119 @@ def test_with_seed_keeps_the_checked_pair(monkeypatch):
     with pytest.raises(ValueError, match="seed length"):
         triple.with_seed(triple.phi[:-1])
 
+
+
+# --- inner truncation: one pass over the axis factors ---------------------
+
+
+def ref_build_inner(spec, order):
+    """The dict-based truncation: each factor's polynomial multiplied into a
+    BidiscPoly, clipped to the box, its tail bound carried as
+    err + l1(acc) tail + dropped, and the axis factors multiplied
+    separately."""
+    order = DegreePair(*order)
+
+    def unit(a):
+        c = np.zeros(a + 1, dtype=np.complex128)
+        c[a] = 1.0
+        return c
+
+    def accumulate(acc, err, fpoly, ftail):
+        l1 = sum(abs(c) for c in acc.coeffs.values())
+        kept, dropped_sq = {}, 0.0
+        for (i, j), c in (acc * fpoly).coeffs.items():
+            if i <= order.d1 and j <= order.d2:
+                kept[(i, j)] = c
+            else:
+                dropped_sq += abs(c) ** 2
+        return BidiscPoly(kept), err + l1 * ftail + math.sqrt(dropped_sq)
+
+    if spec.kind == "monomial":
+        if not order.covers(spec.degree):
+            raise ValueError(
+                f"monomial degree {tuple(spec.degree)} exceeds box {tuple(order)}"
+            )
+        a, b = spec.degree
+        return InnerPoly(spec=spec, poly=BidiscPoly.monomial(a, b), trunc_error=0.0,
+                         axis_factors=(unit(a), unit(b)))
+    acc, err = BidiscPoly.one(), 0.0
+    theta = [unit(0), unit(0)]
+    if spec.kind in ("blaschke_z", "blaschke_w"):
+        axis = 0 if spec.kind == "blaschke_z" else 1
+        for zero in spec.zeros:
+            series, tail = _factor_series(zero, order[axis])
+            key = (lambda k: (k, 0)) if axis == 0 else (lambda k: (0, k))
+            fpoly = BidiscPoly({key(k): c for k, c in enumerate(series)})
+            acc, err = accumulate(acc, err, fpoly, tail)
+            theta[axis] = np.convolve(theta[axis], series)[: order[axis] + 1]
+    else:
+        for factor in spec.factors:
+            built = ref_build_inner(factor, order)
+            acc, err = accumulate(acc, err, built.poly, built.trunc_error)
+            theta = [np.convolve(t, f)[: d + 1]
+                     for t, f, d in zip(theta, built.axis_factors, order)]
+    return InnerPoly(spec=spec, poly=acc, trunc_error=err, axis_factors=tuple(theta))
+
+
+_M, _Z, _W, _PROD = (InnerSpec.monomial, InnerSpec.blaschke_z, InnerSpec.blaschke_w,
+                     InnerSpec.product)
+CATALOG_SPECS = {f.name: f.spec for f in CATALOG if f.spec is not None}
+# name -> (spec, at most one non-monomial factor)
+INNER_CASES = {
+    "constant": (_M(0, 0), True),
+    "z2w": (_M(2, 1), True),
+    "z6": (_M(6, 0), True),
+    "w5": (_M(0, 5), True),
+    "z-zero": (_Z([0.5]), True),
+    "w-zero": (_W([-0.3]), True),
+    "complex-zero": (COMPLEX_SPEC, True),
+    "blaschke-half": (CATALOG_SPECS["blaschke-half"], True),
+    "blaschke-product": (CATALOG_SPECS["blaschke-product"], True),
+    "monomial-times-complex-zero": (_PROD([_M(3, 1), _Z([0.3 + 0.4j])]), True),
+    "two-z-zeros": (_Z([0.5, -0.3]), False),
+    "two-w-zeros": (_W([0.5, 0.2 + 0.1j]), False),
+    "three-z-zeros": (_Z([0.9, 0.85, 0.5]), False),
+    "z-and-w-times-monomial": (_PROD([_Z([0.5]), _W([-0.3]), _M(1, 1)]), False),
+}
+INNER_ORDERS = [(6, 0), (6, 1), (8, 5), (10, 4), (12, 12), (28, 28)]
+
+
+@pytest.mark.parametrize("order", INNER_ORDERS)
+@pytest.mark.parametrize("name", INNER_CASES)
+def test_build_inner_matches_the_dict_reference(name, order):
+    """The axis factors are the old ones bit for bit; the polynomial and
+    the tail bound are too when at most one factor is not a monomial, and
+    otherwise agree to 1e-15, the rounding of the summation order."""
+    spec, single = INNER_CASES[name]
+    try:
+        ref = ref_build_inner(spec, order)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            build_inner(spec, order)
+        return
+    got = build_inner(spec, order)
+    for a, b in zip(got.axis_factors, ref.axis_factors):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.poly.coeffs.keys() == ref.poly.coeffs.keys()
+    if single:
+        assert got.poly == ref.poly and got.trunc_error == ref.trunc_error
+    else:
+        for key, c in ref.poly.coeffs.items():
+            assert abs(got.poly.coeffs[key] - c) <= 1e-15
+        assert got.trunc_error == pytest.approx(ref.trunc_error, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+@pytest.mark.parametrize("spec", [_Z([0.9]), _W([0.85, -0.5]), _Z([0.9, 0.85, 0.3 + 0.4j])],
+                         ids=["one-zero", "two-zeros", "three-zeros"])
+def test_trunc_error_bounds_the_distance_to_a_long_truncation(spec, order):
+    """trunc_error is a certified l2 bound: two truncations of one inner
+    function are no further apart than the sum of their bounds (exact for
+    one zero, up to rounding)."""
+    axis = 0 if spec.kind == "blaschke_z" else 1
+    box, long_box = [0, 0], [0, 0]
+    box[axis], long_box[axis] = order, 400
+    short, long = build_inner(spec, box), build_inner(spec, long_box)
+    gap = long.axis_factors[axis].copy()
+    gap[: order + 1] -= short.axis_factors[axis]
+    assert np.linalg.norm(gap) <= (1 + 1e-12) * (short.trunc_error + long.trunc_error)

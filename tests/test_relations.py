@@ -1,0 +1,91 @@
+"""Metamorphic relations between runs: the z <-> w swap.
+
+Exchanging the two variables maps the Hardy space of the bidisc onto
+itself and carries each module, its quotient and its compressed shift
+pair to their mirror images.  So a config and its swap (inner z2w <->
+zw2, blaschke_z <-> blaschke_w, generators with z and w exchanged, order
+and horizon transposed) must reach the same verdicts with the same
+numbers: data fields named `_z` and `_w` trade places, the Jordan
+`degree_box` and the orbit-norm grid are transposed, and every float
+agrees to 1e-9 in the deviation of tools/compare_reports.py.  The one
+exception is the value of the orbit-norm grid of decay and
+probe-conjecture: they draw their random vector in the quotient's basis,
+which the swap permutes.
+"""
+
+import importlib.util
+import re
+import warnings
+from pathlib import Path
+
+import pytest
+
+from bidiscframes.runner import CHECK_NAMES, ExperimentConfig, run
+
+_spec = importlib.util.spec_from_file_location(
+    "compare_reports", Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py")
+compare_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_reports)
+
+# codimension sweeps the box orders, so it has no mirror of the same run
+CHECKS = [c for c in CHECK_NAMES if c != "codimension"]
+FLOAT_TOL = 1e-9
+RANDOM_GRIDS = {"decay.norms[][]", "probe-conjecture.norms[][]"}
+
+
+def _blaschke(kind, zeros):
+    return {"kind": kind, "zeros": [[z.real, z.imag] for z in map(complex, zeros)]}
+
+
+SWAP_PAIRS = {
+    "z2w-zw2": ({"inner": "z2w", "order": [6, 9]}, {"inner": "zw2", "order": [9, 6]}),
+    "z-w": ({"inner": "z", "order": [7, 4]}, {"inner": "w", "order": [4, 7]}),
+    "two-zeros": ({"inner": _blaschke("blaschke_z", [0.5, -0.3]), "order": [8, 5]},
+                  {"inner": _blaschke("blaschke_w", [0.5, -0.3]), "order": [5, 8]}),
+    "zw-horizon": ({"inner": "zw", "order": [8, 3], "horizon": [10, 2]},
+                   {"inner": "zw", "order": [3, 8], "horizon": [2, 10]}),
+    "generators": ({"generators": ["z", "w2"], "order": [6, 5]},
+                   {"generators": ["w", "z2"], "order": [5, 6]}),
+    "complex-zero": ({"inner": _blaschke("blaschke_z", [0.3 + 0.4j]), "order": [8, 8]},
+                     {"inner": _blaschke("blaschke_w", [0.3 + 0.4j]), "order": [8, 8]}),
+}
+
+
+def _run(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run(ExperimentConfig.from_json({**config, "checks": CHECKS, "seed": 3}))
+    return out.exit_code, [r.to_json() for r in out.results]
+
+
+def _mirror(data):
+    """Report data as the swapped run writes it."""
+    if isinstance(data, list):
+        return [_mirror(x) for x in data]
+    if not isinstance(data, dict):
+        return data
+    out = {}
+    for key, value in data.items():
+        if key == "degree_box":
+            value = value[::-1]
+        elif key == "norms":
+            value = [list(col) for col in zip(*value)]
+        out[re.sub(r"_([zw])$", lambda m: "_w" if m[1] == "z" else "_z", key)] = _mirror(value)
+    return out
+
+
+@pytest.mark.parametrize("name", SWAP_PAIRS)
+def test_swapping_z_and_w_mirrors_every_report(name):
+    config, swapped = SWAP_PAIRS[name]
+    code, results = _run(config)
+    swapped_code, swapped_results = _run(swapped)
+    assert code == swapped_code
+    assert [r["check"] for r in results] == [r["check"] for r in swapped_results] == CHECKS
+    floats, exact = {}, []
+    for r, s in zip(results, swapped_results):
+        assert (r["passed"], r["note"]) == (s["passed"], s["note"]), r["check"]
+        compare_reports.walk(_mirror(r["data"]), s["data"], r["check"], floats, exact)
+    assert exact == []
+    moved = {field: dev for field, (dev, _) in floats.items()
+             if dev > FLOAT_TOL and field not in RANDOM_GRIDS}
+    assert moved == {}

@@ -335,6 +335,27 @@ def test_cli_forces_namesake_check(tmp_path, capsys):
     assert "parseval" not in out
 
 
+@pytest.mark.parametrize("command,check", [
+    ("build-module", "build-module"),
+    ("jordan", "jordan"),
+    ("frame-check", "frame-bounds"),
+    ("similarity", "similarity"),
+    ("recover", "recover"),
+    ("decay", "decay"),
+    ("probe-conjecture", "probe-conjecture"),
+    ("equiv-vector", "equiv-vector"),
+])
+def test_cli_subcommand_runs_exactly_its_check(tmp_path, capsys, command, check):
+    path = write_config(tmp_path / "c.json", fixture="inner-zw", order=[3, 3],
+                        checks=["parseval", "riesz"])
+    prefix = tmp_path / "r"
+    code = main([command, "--config", path, "--out", str(prefix)])
+    summary = json.loads((tmp_path / "r.summary.json").read_text())
+    assert [c["check"] for c in summary["checks"]] == [check]
+    assert code == summary["exit_code"] == (0 if summary["passed"] else 1)
+    assert capsys.readouterr().out.startswith(f"check {check}: ")
+
+
 def test_cli_suite_runs_config_as_written(tmp_path, capsys):
     path = write_config(
         tmp_path / "c.json", order=[4, 4], inner="zw", checks=["parseval", "jordan"]
