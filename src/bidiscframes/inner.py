@@ -30,6 +30,7 @@ __all__ = [
     "InnerPoly",
     "UnimodularReport",
     "build_inner",
+    "monomial_degree",
     "verify_unimodular",
     "DEFAULT_GRID",
 ]
@@ -223,10 +224,6 @@ def _truncate(spec: InnerSpec, order: DegreePair):
     """One pass over the spec: the axis factors (theta1, theta2) truncated
     to the box, and a certified l2 bound on what the box dropped."""
     if spec.kind == "monomial":
-        if not order.covers(spec.degree):
-            raise ValueError(
-                f"monomial degree {tuple(spec.degree)} exceeds box {tuple(order)}"
-            )
         return (_unit(spec.degree.d1), _unit(spec.degree.d2)), 0.0
     theta, err = (_unit(0), _unit(0)), 0.0
     if spec.kind in ("blaschke_z", "blaschke_w"):
@@ -244,15 +241,27 @@ def _truncate(spec: InnerSpec, order: DegreePair):
     raise ValueError(f"unknown inner kind {spec.kind!r}")
 
 
+def monomial_degree(spec: InnerSpec) -> DegreePair:
+    """The bidegree of the monomial part of spec: the sum of the degrees
+    of its monomial factors, (0, 0) when it has none."""
+    if spec.kind == "monomial":
+        return spec.degree
+    return DegreePair(*map(sum, zip((0, 0), *map(monomial_degree, spec.factors))))
+
+
 def build_inner(spec: InnerSpec, order) -> InnerPoly:
     """Truncate an inner function to a degree box.
 
-    Monomial specs must fit inside the box and come back exact.  Factor
-    products are expanded to the box order in their variable; the
-    returned trunc_error is a certified l2 bound for everything dropped.
-    The polynomial is read off the axis factors, theta1(z) theta2(w).
+    The monomial part (monomial_degree) must fit inside the box; a purely
+    monomial spec comes back exact.  Factor products are expanded to the
+    box order in their variable; the returned trunc_error is a certified
+    l2 bound for everything dropped.  The polynomial is read off the axis
+    factors, theta1(z) theta2(w).
     """
     order = _as_degree(order)
+    degree = monomial_degree(spec)
+    if not order.covers(degree):
+        raise ValueError(f"monomial degree {tuple(degree)} exceeds box {tuple(order)}")
     (theta1, theta2), err = _truncate(spec, order)
     poly = BidiscPoly({(i, j): theta1[i] * theta2[j]
                        for i in np.flatnonzero(theta1) for j in np.flatnonzero(theta2)})

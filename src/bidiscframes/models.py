@@ -245,27 +245,22 @@ def random_similarity(dim: int, rng: np.random.Generator,
 def recover_model(sys: IterateSystem) -> ModelRecovery:
     """Reconstruct the quotient-shaped model behind a frame system.
 
-    Requires a frame (classification other than not_frame) and a horizon
-    box at least as large as the operator dimension; otherwise raises
-    PreconditionError.  The recovered quotient is the row space of the
-    synthesis matrix, read off the system's cached SVD.  The intertwining
-    residuals are evaluated on complement vectors supported away from the
-    horizon edge, where the box shifts are exact.
+    Requires a frame system, else raises PreconditionError.  A frame has
+    dim singular values, all above sqrt(CLASS_RTOL) > KERNEL_RTOL times
+    the largest: so at least dim columns, and full rank dim.  The
+    recovered quotient is the row space of the synthesis matrix, read off
+    the system's cached SVD.  The intertwining residuals are evaluated on
+    complement vectors supported away from the horizon edge, where the
+    box shifts are exact.
     """
-    report = frame_bounds(sys)
-    if not report.is_frame:
+    if not frame_bounds(sys).is_frame:
         raise PreconditionError("recovery needs a frame system")
-    if sys.ncols < sys.triple.dim:
-        raise PreconditionError("horizon box smaller than the operator dimension")
 
     k_onb = synthesis_rowspace(sys)
     rank = k_onb.shape[1]
-    if rank != sys.triple.dim:
-        raise PreconditionError("recovery failed: enlarge horizon")
-
     svals = sys.svd[1]
     w = sys.synthesis @ k_onb
-    cond_w = float(svals[0] / svals[rank - 1]) if rank else np.inf
+    cond_w = float(svals[0] / svals[rank - 1])
 
     jordan_z = k_onb.conj().T @ shift_rows(k_onb, sys.horizon, "z")
     jordan_w = k_onb.conj().T @ shift_rows(k_onb, sys.horizon, "w")

@@ -524,10 +524,38 @@ def test_kernel_tests_off_the_order_match_dense_reference(name, order, horizon):
     assert_kernel_tests_match(chain.system)
 
 
+RANDOM_SYSTEM_CASES = [(3, (4, 4)), (4, (2, 6)), (5, (6, 3)), (6, (1, 1)), (4, (0, 5))]
+
+
 def test_random_commuting_systems_match_dense_reference():
     rng = np.random.default_rng(7)
-    for dim, horizon in [(3, (4, 4)), (4, (2, 6)), (5, (6, 3)), (6, (1, 1)), (4, (0, 5))]:
+    for dim, horizon in RANDOM_SYSTEM_CASES:
         assert_kernel_tests_match(random_system(rng, dim, horizon))
+
+
+def test_a_frame_system_has_full_rank():
+    """A frame has all dim singular values above sqrt(CLASS_RTOL) times the
+    largest, and CLASS_RTOL is set so that this is above the KERNEL_RTOL
+    rank cut: so every frame system has at least dim columns and rank dim,
+    which recover_model relies on instead of checking.  Over the catalog at
+    three orders, each with a horizon below, at and above the order, and
+    over the random commuting systems."""
+    assert math.sqrt(CLASS_RTOL) > KERNEL_RTOL  # makes a frame system full rank
+    systems = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for order in [(6, 6), (9, 5), (10, 4)]:
+            for step in (-2, 0, 2):
+                horizon = tuple(max(d + step, 0) for d in order)
+                chains = [build_chain(fixture, order, horizon) for fixture in CATALOG]
+                systems += [c.system for c in chains if c.system is not None]
+    rng = np.random.default_rng(7)
+    for dim, horizon in RANDOM_SYSTEM_CASES:
+        systems.append(random_system(rng, dim, horizon))
+    frames = [sys for sys in systems if frame_bounds(sys).is_frame]
+    assert 0 < len(frames) < len(systems)
+    for sys in frames:
+        assert sys.ncols >= sys.triple.dim and sys.rank() == sys.triple.dim
 
 
 def test_subspace_distance_matches_projector_difference():
@@ -610,7 +638,7 @@ def test_factorisation_off_the_order_matches_reference(name, order, horizon):
 
 def test_random_commuting_systems_factorisation_matches_reference():
     rng = np.random.default_rng(7)
-    for dim, horizon in [(3, (4, 4)), (4, (2, 6)), (5, (6, 3)), (6, (1, 1)), (4, (0, 5))]:
+    for dim, horizon in RANDOM_SYSTEM_CASES:
         assert_factorisation_matches(random_system(rng, dim, horizon))
 
 

@@ -7,6 +7,7 @@ from bidiscframes.hardy import DegreePair
 from bidiscframes.inner import (
     InnerSpec,
     build_inner,
+    monomial_degree,
     verify_unimodular,
 )
 
@@ -26,6 +27,25 @@ def test_monomial_inner_is_exact():
 def test_monomial_must_fit_box():
     with pytest.raises(ValueError):
         build_inner(InnerSpec.monomial(5, 0), (4, 4))
+
+
+Z3 = InnerSpec.monomial(3, 0)
+
+
+def test_monomial_degree_sums_the_monomial_factors():
+    half = InnerSpec.blaschke_w([0.5])
+    assert monomial_degree(InnerSpec.monomial(2, 1)) == (2, 1)
+    assert monomial_degree(half) == (0, 0)
+    assert monomial_degree(InnerSpec.product([Z3, half, InnerSpec.monomial(1, 2)])) == (4, 2)
+    assert monomial_degree(InnerSpec.product([Z3, InnerSpec.product([Z3, half])])) == (6, 0)
+
+
+def test_product_of_monomials_must_fit_box():
+    """Each factor z^3 fits the box (4, 4), their product z^6 does not: the
+    box is checked against the whole monomial part, not factor by factor."""
+    with pytest.raises(ValueError, match=r"^monomial degree \(6, 0\) exceeds box \(4, 4\)$"):
+        build_inner(InnerSpec.product([Z3, Z3]), (4, 4))
+    assert build_inner(InnerSpec.product([Z3, Z3]), (6, 0)).poly.coeffs == {(6, 0): 1.0}
 
 
 def test_blaschke_series_coefficients_alpha_half():

@@ -1,4 +1,5 @@
-"""Metamorphic relations between runs: the z <-> w swap.
+"""Metamorphic relations between runs: the z <-> w swap, and a unitary
+change of basis on the quotient.
 
 Exchanging the two variables maps the Hardy space of the bidisc onto
 itself and carries each module, its quotient and its compressed shift
@@ -11,6 +12,13 @@ agrees to 1e-9 in the deviation of tools/compare_reports.py.  The one
 exception is the value of the orbit-norm grid of decay and
 probe-conjecture: they draw their random vector in the quotient's basis,
 which the swap permutes.
+
+A unitary W on the quotient carries a triple (T1, T2, phi) to
+(W T1 W*, W T2 W*, W phi), whose synthesis matrix is W times the old one:
+the singular values, the synthesis kernel and so every frame and kernel
+verdict are unchanged.  A Haar-random W makes every coordinate system
+dense, so this relation also checks the coordinate fast paths against
+the dense one.
 """
 
 import importlib.util
@@ -18,8 +26,18 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bidiscframes.fixtures import CATALOG, build_chain
+from bidiscframes.frames import (
+    OperatorTriple,
+    frame_bounds,
+    iterate,
+    kernel_doubly_commutes,
+    kernel_shift_invariance,
+    rowspace_gap,
+)
 from bidiscframes.runner import CHECK_NAMES, ExperimentConfig, run
 
 _spec = importlib.util.spec_from_file_location(
@@ -89,3 +107,55 @@ def test_swapping_z_and_w_mirrors_every_report(name):
     moved = {field: dev for field, (dev, _) in floats.items()
              if dev > FLOAT_TOL and field not in RANDOM_GRIDS}
     assert moved == {}
+
+
+def _haar_unitary(rng, n):
+    """A Haar-distributed n x n unitary: the Q of a complex Gaussian matrix,
+    its columns rotated by the phases of R's diagonal (Mezzadri 2007)."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _catalog_systems():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chains = [build_chain(fixture, order)
+                  for order in [(6, 6), (9, 5), (10, 4)] for fixture in CATALOG]
+    return [(f"{c.fixture.name}-{c.space.order.d1}-{c.space.order.d2}", c.system)
+            for c in chains if c.system is not None]
+
+
+CATALOG_SYSTEMS = _catalog_systems()
+BOUND_RTOL = 1e-12  # relative to the base system's upper frame bound
+KERNEL_RESIDUAL_TOL = 1e-9
+GAP_TOL = 1e-9
+
+
+@pytest.mark.parametrize("index", range(len(CATALOG_SYSTEMS)),
+                         ids=[name for name, _ in CATALOG_SYSTEMS])
+def test_unitary_change_of_basis_keeps_every_frame_and_kernel_verdict(index):
+    base = CATALOG_SYSTEMS[index][1]
+    t = base.triple
+    w = _haar_unitary(np.random.default_rng(index), t.dim)
+    moved = iterate(OperatorTriple(T1=w @ t.T1 @ w.conj().T, T2=w @ t.T2 @ w.conj().T,
+                                   phi=w @ t.phi), base.horizon)
+    assert moved._coordinate_entries is None or t.dim == 1  # the dense path
+
+    a, b = frame_bounds(base), frame_bounds(moved)
+    assert (a.classification, a.kernel_dim) == (b.classification, b.kernel_dim)
+    scale = BOUND_RTOL * a.upper
+    assert abs(a.lower - b.lower) <= scale and abs(a.upper - b.upper) <= scale
+    assert len(a.bound_trace) == len(b.bound_trace)
+    for (h, lo, hi), (h2, lo2, hi2) in zip(a.bound_trace, b.bound_trace):
+        assert h == h2 and abs(lo - lo2) <= scale and abs(hi - hi2) <= scale
+
+    for test, fields in [(kernel_shift_invariance, ("residual",)),
+                         (kernel_doubly_commutes, ("residual", "residual_z", "residual_w"))]:
+        r, s = test(base), test(moved)
+        for flag in ("vacuous", "inconclusive", "n_checked", "verdict"):
+            assert getattr(r, flag, None) == getattr(s, flag, None), (test.__name__, flag)
+        for field in fields if not r.inconclusive else ():  # inconclusive: nan
+            assert abs(getattr(r, field) - getattr(s, field)) <= KERNEL_RESIDUAL_TOL
+
+    assert rowspace_gap(base, moved) <= GAP_TOL

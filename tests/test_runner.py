@@ -263,24 +263,48 @@ def test_riesz_check_reports_the_riesz_model_chain(recipe):
     assert riesz.results[0].to_json()["data"] == model.results[0].to_json()["data"]
 
 
+Z3_TIMES_Z3 = {"kind": "product", "factors": [{"kind": "monomial", "degree": [3, 0]},
+                                             {"kind": "monomial", "degree": [3, 0]}]}
+
+
 @pytest.mark.parametrize(
     "inner,order,orders",
     [({"kind": "monomial", "degree": [3, 0]}, [4, 4], [[3, 3], [4, 4]]),
      ("z", [1, 0], [[1, 1]]),
      ({"kind": "product", "factors": [{"kind": "blaschke_w", "zeros": [[0.5, 0]]},
                                       {"kind": "monomial", "degree": [0, 3]}]},
-      [5, 4], [[3, 3], [4, 4]])],
-    ids=["z3-at-4-4", "z-at-1-0", "product-w3-at-5-4"],
+      [5, 4], [[3, 3], [4, 4]]),
+     (Z3_TIMES_Z3, [8, 8], [[6, 6], [7, 7], [8, 8]])],
+    ids=["z3-at-4-4", "z-at-1-0", "product-w3-at-5-4", "z3-z3-at-8-8"],
 )
 @pytest.mark.filterwarnings("ignore:submodule is approximate")
 def test_codimension_ladder_starts_where_the_monomial_fits(inner, order, orders):
-    """The ladder starts at the bidegree of the monomial part (of each
-    monomial factor of a product) when that exceeds 2, and is one rung
-    when the box is smaller than the monomial."""
+    """The ladder starts at the bidegree of the monomial part (the sum of
+    the monomial factors of a product) when that exceeds 2, and is one
+    rung when the box is smaller than the monomial."""
     out = run(ExperimentConfig.from_json(
         {"inner": inner, "order": order, "checks": ["codimension"]}))
     assert out.exit_code == 0
     assert out.results[0].to_json()["data"]["orders"] == orders
+
+
+def test_monomial_product_past_the_box_is_config_error_naming_its_degree(tmp_path, capsys):
+    """z^3 z^3 at (4, 4): each factor fits, the product does not, and the
+    config error says so (not that the clipped polynomial is zero)."""
+    path = write_config(tmp_path / "c.json", inner=Z3_TIMES_Z3, order=[4, 4])
+    assert main(["build-module", "--config", path]) == 2
+    assert "monomial degree (6, 0) exceeds box (4, 4)" in capsys.readouterr().err
+
+
+def test_recover_on_a_horizon_too_small_for_a_frame_fails_its_precondition():
+    """inner-zw at (6, 6) over the horizon (1, 1): four iterates for a
+    13-dimensional quotient are no frame, and recover records that."""
+    out = run(ExperimentConfig.from_json(
+        {"inner": "zw", "order": [6, 6], "horizon": [1, 1], "checks": ["recover"]}))
+    assert out.exit_code == 1
+    result = out.results[0]
+    assert not result.passed and result.data == {}
+    assert result.note == "recovery needs a frame system"
 
 
 def test_submodule_check_without_recipe_is_config_error():

@@ -63,7 +63,6 @@ def _judge(check, data):
     ("recover", "intertwine_residual_z", 1e-7),
     ("recover", "intertwine_residual_w", 1e-7),
     ("recover", "residual_phi", 1e-8),
-    ("recover", "rowspace_gap", 1e-8),
     ("kernel-invariance", "residual", 1e-8),
     ("similarity", "kernel_distance", 1e-10),
     ("similarity", "witness_distance", 1e-8),
@@ -72,7 +71,7 @@ def test_threshold_rules_pass_at_their_bound(check, field, bound):
     base = {
         "jordan": {"max_residual": 0.0},
         "recover": {"intertwine_residual_z": 0.0, "intertwine_residual_w": 0.0,
-                    "residual_phi": 0.0, "rowspace_gap": 0.0},
+                    "residual_phi": 0.0},
         "kernel-invariance": {"inconclusive": False, "vacuous": False, "residual": 0.0},
         "similarity": {"certified": True, "base_class": "frame", "moved_class": "frame",
                        "moved_bounds": [1.0, 2.0], "singular_bracket": [1.0, 2.0],
