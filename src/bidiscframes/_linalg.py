@@ -3,7 +3,9 @@
 Subspaces of the box are handled on their small side where possible: a
 test on a submodule M of dimension n - k works with an orthonormal basis
 of the k-dimensional complement K, so it costs O(n k^2) instead of the
-O(n^3) of n x n projectors and spectral norms.  A spectral norm itself
+O(n^3) of n x n projectors and spectral norms.  The quotient model
+(compress) and the double-commutation test each take an index route
+when K is coordinate vectors (coordinate_rows).  A spectral norm itself
 is taken from the Gram matrix on the smaller side, with no SVD.
 
 Arrays keep the dtype of their data: a real input gives a float64
@@ -227,22 +229,56 @@ def coordinate_entries(a):
     arithmetic.  The one coordinate test, of a quotient's K (n x 0 when
     trivial) and of synthesis matrices; no rows or a nonfinite entry: None.
     """
+    m, n = a.shape
     nonzero = a != 0
-    if (not a.shape[0]
-            or np.count_nonzero(nonzero, axis=0).max(initial=0) > 1
-            or np.count_nonzero(nonzero, axis=1).max() > 1):
+    if not m or np.count_nonzero(nonzero) > min(m, n):
         return None
-    rows = nonzero.argmax(axis=0)
-    entries = a[rows, np.arange(a.shape[1])]
+    # the nonzeros in row-major order: a repeated row is two equal neighbours
+    r, c = np.divmod(np.flatnonzero(nonzero), max(n, 1))
+    if (r[1:] == r[:-1]).any() or np.bincount(c, minlength=n).max(initial=0) > 1:
+        return None
+    rows = np.zeros(n, dtype=np.intp)
+    rows[c] = r
+    entries = a[rows, np.arange(n)]
     return (rows, entries) if np.isfinite(entries).all() else None
+
+
+def coordinate_rows(k):
+    """The rows of k when its columns are distinct coordinate vectors, every
+    entry 1.0 (no rows for n x 0), else None: the one test that sends a
+    subspace, by the basis k of its complement, to the index route."""
+    hits = coordinate_entries(k)
+    return hits[0] if hits is not None and (hits[1] == 1.0).all() else None
+
+
+def compress(k_onb, order, rows):
+    """(J_z, J_w, seed): the box shifts compressed to span(K), K = k_onb,
+    J = K^H S K, and the compression K^H e_(0,0) of the constant 1.  With
+    rows = coordinate_rows(K), J = S[rows][:, rows] is an index map, entry
+    (a, b) 1 when S moves monomial rows[b] to rows[a], with no product."""
+    k = np.asarray(k_onb)
+    if rows is None:
+        jz, jw = (k.conj().T @ shift_rows(k, order, axis) for axis in "zw")
+    else:
+        space = TruncatedSpace(order)
+        where = np.full(space.dim, -1)
+        where[rows] = np.arange(rows.size)  # row -> its column in K, else -1
+        jz, jw = (np.zeros((rows.size, rows.size), dtype=k.dtype) for _ in "zw")
+        steps = (space.order.d2 + 1, 1)  # row offsets of the z- and w-shift
+        for j, deg, edge, step in zip((jz, jw), space.degree_grid(), space.order, steps):
+            src = np.flatnonzero(deg[rows] < edge)
+            dst = where[rows[src] + step]
+            hit = dst >= 0
+            j[dst[hit], src[hit]] = 1.0
+    # + 0.0 turns the -0.0 that conj leaves into the +0.0 of K^H e_(0,0)
+    return jz, jw, k[0].conj() + 0.0
 
 
 def _index_set_residual(inside: np.ndarray):
     """(residual, dim) of the double-commutation test along (z, w) on the
     span of the coordinate vectors e_(i,j), (i, j) in the index set
     `inside` (a boolean coefficient grid of a degree box), with no
-    factorisation.  It serves a union-of-quadrant submodule on the degree
-    box and a coordinate synthesis kernel on the horizon box.
+    factorisation.
 
     P S_z P and P S_w^* P move coordinate vectors to coordinate vectors or
     to 0, so on e_(i,j) with (i, j) in the set, i below the last row and
@@ -258,7 +294,7 @@ def _index_set_residual(inside: np.ndarray):
     return float(moved.any()), int(tested.sum())
 
 
-def compressed_commutator_residual(k_onb, order):
+def compressed_commutator_residual(k_onb, order, rows):
     """Double-commutation residuals of a subspace M, from its complement.
 
     M is the orthogonal complement of span(k_onb) in the degree box
@@ -267,20 +303,27 @@ def compressed_commutator_residual(k_onb, order):
     the result holds (residual, dim): the norm of [P A P, P B^* P] on the
     vectors of M supported where A and B^* act exactly (a-degree below
     the edge, b-degree at least 1), and the dimension of that subspace;
-    the residual is 0.0 when it is trivial.
+    the residual is 0.0 when it is trivial.  M need not be
+    shift-invariant.  With rows = coordinate_rows(k_onb), M is spanned by
+    the coordinate vectors outside rows, and _index_set_residual tests
+    that index set, O(n), with residuals exactly 0.0 or 1.0.
 
-    A B^* = B^* A holds exactly on the box, so for x in M the commutator
-    equals P (B^* K K^H A - A K K^H B^*) x with K = k_onb.  That operator
-    has rank at most 2k and is formed from n x 2k and 2k x n factors
-    only, with the shifts applied as index moves: O(n k^2) in all.  The
-    four shifted copies of K are built once, in two blocks: the left
-    factor [B^* K, -A K] of one axis order is, up to the sign of its
-    second half, the right factor [A^* K, B K] of the other.  M need not
-    be shift-invariant.
+    Otherwise, as A B^* = B^* A holds exactly on the box, for x in M the
+    commutator equals P (B^* K K^H A - A K K^H B^*) x with K = k_onb.
+    That operator has rank at most 2k and is formed from n x 2k and
+    2k x n factors only, with the shifts applied as index moves: O(n k^2)
+    in all.  The four shifted copies of K are built once, in two blocks:
+    the left factor [B^* K, -A K] of one axis order is, up to the sign of
+    its second half, the right factor [A^* K, B K] of the other.
     """
     k = np.asarray(k_onb)
-    deg = dict(zip("zw", TruncatedSpace(order).degree_grid()))
-    edge = dict(zip("zw", order))
+    space = TruncatedSpace(order)
+    if rows is not None:
+        inside = np.ones((space.order.d1 + 1, space.order.d2 + 1), dtype=bool)
+        inside.flat[rows] = False
+        return _index_set_residual(inside), _index_set_residual(inside.T)
+    deg = dict(zip("zw", space.degree_grid()))
+    edge = dict(zip("zw", space.order))
     # blocks[a + b] = [B^* K, A K]; multiplying by sign gives the left
     # factor in the block's memory order, which the BLAS rounding follows
     blocks = {a + b: np.hstack([shift_rows(k, order, b, adjoint=True), shift_rows(k, order, a)])

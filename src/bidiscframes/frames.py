@@ -54,10 +54,10 @@ import numpy as np
 
 from ._linalg import (
     KERNEL_RTOL,
-    _index_set_residual,
     _rescaled,
     compressed_commutator_residual,
     coordinate_entries,
+    coordinate_rows,
     hermitian_extremes,
     iterate_grid,
     masked_complement,
@@ -634,8 +634,8 @@ def kernel_doubly_commutes(sys: IterateSystem) -> KernelCommuteReport:
     (i <= L1-1, j >= 1), and mirrored for the other order.  A trivial
     kernel is vacuously true.  The residuals are computed from the row
     space, the kernel's complement (see compressed_commutator_residual);
-    a coordinate kernel is tested on its index set instead
-    (_index_set_residual), with residuals exactly 0.0 or 1.0.
+    a coordinate row space puts the test on the kernel's index set, with
+    residuals exactly 0.0 or 1.0.
     """
     if sys.rank() == sys.ncols:
         return KernelCommuteReport(
@@ -643,12 +643,8 @@ def kernel_doubly_commutes(sys: IterateSystem) -> KernelCommuteReport:
             residual_z=0.0, residual_w=0.0, n_checked=0,
             message="trivial kernel; vacuously true",
         )
-    grids = _coordinate_kernel(sys)
-    if grids is not None:
-        kernel = grids[0]
-        (rz, nz), (rw, nw) = _index_set_residual(kernel), _index_set_residual(kernel.T)
-    else:
-        (rz, nz), (rw, nw) = compressed_commutator_residual(synthesis_rowspace(sys), sys.horizon)
+    k = synthesis_rowspace(sys)
+    (rz, nz), (rw, nw) = compressed_commutator_residual(k, sys.horizon, coordinate_rows(k))
     if nz == 0 and nw == 0:
         return KernelCommuteReport(
             residual=float("nan"), verdict=False, vacuous=False, inconclusive=True,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import null_space_onb, opnorm
+from ._linalg import compress, coordinate_rows, null_space_onb, opnorm
 from .frames import (
     GuardError,
     IterateSystem,
@@ -27,7 +27,6 @@ from .frames import (
     frame_bounds,
     synthesis_rowspace,
 )
-from .hardy import shift_rows
 from .submodule import QuotientModel
 
 __all__ = [
@@ -206,19 +205,21 @@ def estimate_similarity(source: IterateSystem, target: IterateSystem) -> np.ndar
     the cutoff of numpy.linalg.pinv (singular values above 1e-15 times
     the largest).
 
-    When the source is a coordinate system, the rows of its Vh are
-    coordinate vectors (each a single entry 1), so U_target Vh^H is a
-    gather of target columns, with no product.
+    When the kept rows of Vh are coordinate vectors, each a single entry
+    1 (_linalg.coordinate_rows), as for every coordinate source, U_target
+    Vh^H is a gather of target columns, with no product.
     """
     if source.horizon != target.horizon:
         raise ValueError("systems must share a horizon")
     u, s, vh = source.svd
     keep = s > 1e-15 * s.max(initial=0.0)
-    if source._coordinate_entries is None:
-        block = target.synthesis @ vh[keep].conj().T
+    v = vh[keep].conj().T
+    rows = coordinate_rows(v)
+    if rows is None:
+        block = target.synthesis @ v
     else:
         # C order, like the product, as the rounding below follows the layout
-        block = np.ascontiguousarray(target.synthesis[:, vh[keep].argmax(axis=1)])
+        block = np.ascontiguousarray(target.synthesis[:, rows])
     return (block / s[keep]) @ u[:, keep].conj().T
 
 
@@ -249,9 +250,10 @@ def recover_model(sys: IterateSystem) -> ModelRecovery:
     dim singular values, all above sqrt(CLASS_RTOL) > KERNEL_RTOL times
     the largest: so at least dim columns, and full rank dim.  The
     recovered quotient is the row space of the synthesis matrix, read off
-    the system's cached SVD.  The intertwining residuals are evaluated on
-    complement vectors supported away from the horizon edge, where the
-    box shifts are exact.
+    the system's cached SVD, and _linalg.compress gives its compressed
+    shifts and seed (index maps when the row space is coordinate).  The
+    intertwining residuals are evaluated on complement vectors supported
+    away from the horizon edge, where the box shifts are exact.
     """
     if not frame_bounds(sys).is_frame:
         raise PreconditionError("recovery needs a frame system")
@@ -262,8 +264,7 @@ def recover_model(sys: IterateSystem) -> ModelRecovery:
     w = sys.synthesis @ k_onb
     cond_w = float(svals[0] / svals[rank - 1])
 
-    jordan_z = k_onb.conj().T @ shift_rows(k_onb, sys.horizon, "z")
-    jordan_w = k_onb.conj().T @ shift_rows(k_onb, sys.horizon, "w")
+    jordan_z, jordan_w, seed_coords = compress(k_onb, sys.horizon, coordinate_rows(k_onb))
 
     ideg, jdeg = sys.box_space.degree_grid()
     l1, l2 = sys.horizon
@@ -278,7 +279,6 @@ def recover_model(sys: IterateSystem) -> ModelRecovery:
     res_z = _residual(sys.triple.T1, jordan_z, ideg <= l1 - 1)
     res_w = _residual(sys.triple.T2, jordan_w, jdeg <= l2 - 1)
 
-    seed_coords = k_onb[0].conj()  # K^H e_(0,0)
     res_phi = float(np.linalg.norm(w @ seed_coords - sys.triple.phi))
 
     return ModelRecovery(

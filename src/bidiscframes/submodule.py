@@ -33,12 +33,10 @@ compression of the constant 1 as the distinguished seed vector.  Its
 n x n orthogonal projector is built on demand, only when read.  The
 double-commutation test also works from the complement, so nothing
 costs more than O(n k^2) for a quotient of dimension k, besides the
-dense QR of multi-term generators.  On a union of quadrants it works on
-the index set itself: the compressed shifts move coordinate vectors to
-coordinate vectors, so the test takes O(n) boolean grid operations, no
-factorisation, and its residuals are exactly 0.0 or 1.0.  The quotient
-of such a module takes its compressed shifts the same way, as index
-maps: the submatrices of the box shifts on the missing monomials.
+dense QR of multi-term generators.  Both are one call into _linalg,
+which takes the index route when K is coordinate vectors, as on a union
+of quadrants: the compressed shifts are then index maps, and the test
+takes O(n) boolean grid operations with residuals exactly 0.0 or 1.0.
 
 Every array here follows the dtype of the module's coefficients: for an
 inner function or generators with real coefficients (every catalog
@@ -58,16 +56,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._linalg import (
-    _index_set_residual,
+    compress,
     compressed_commutator_residual,
-    coordinate_entries,
+    coordinate_rows,
     iterate_grid,
     kronecker_split,
     opnorm,
     orthonormal_split,
 )
 from .frames import COMM_TOL, COMMUTE_TOL, PreconditionError
-from .hardy import BidiscPoly, DegreePair, TruncatedSpace, shift_rows
+from .hardy import BidiscPoly, DegreePair, TruncatedSpace
 from .inner import InnerPoly, InnerSpec, build_inner
 
 __all__ = [
@@ -176,8 +174,6 @@ class DoublyCommuteReport:
     verdict: bool
     residual_z: float
     residual_w: float
-    interior_z: tuple  # ((i_min, i_max), (j_min, j_max)) input support, z test
-    interior_w: tuple
     n_interior_z: int
     n_interior_w: int
 
@@ -309,26 +305,6 @@ def zero_submodule(space: TruncatedSpace) -> SubmoduleModel:
                           rank=rank, **basis)
 
 
-def _index_compression(rows, space: TruncatedSpace, axis: str, dtype) -> np.ndarray:
-    """S[rows][:, rows] for the box shift S along axis, as an index map:
-    entry (a, b) is 1 when the shift moves monomial rows[b] to rows[a].
-    rows must be distinct."""
-    i, j = space.degree_grid()
-    n1, n2 = space.order
-    if axis == "z":
-        inside, step = i[rows] < n1, n2 + 1
-    else:
-        inside, step = j[rows] < n2, 1
-    where = np.full(space.dim, -1)
-    where[rows] = np.arange(rows.size)
-    src = np.flatnonzero(inside)
-    dst = where[rows[src] + step]
-    hit = dst >= 0
-    out = np.zeros((rows.size, rows.size), dtype=dtype)
-    out[dst[hit], src[hit]] = 1.0
-    return out
-
-
 def quotient(sub: SubmoduleModel) -> QuotientModel:
     """Orthogonal complement with compressed shifts and seed.
 
@@ -343,12 +319,11 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
     ||P^2 - P|| = ||K (K^H K - I) K^H|| <= e (1 + e) with e = ||K^H K - I||.
 
     On a union of quadrants (onb_rows), K is the coordinate vectors of the
-    missing monomials: the one coordinate test (_linalg.coordinate_entries,
+    missing monomials: the one coordinate test (_linalg.coordinate_rows,
     which refuses a repeated row) confirms it, every entry 1.0.  Then
-    ||K^H K - I|| vanishes, ||Q^H K|| is an index-set test (0 when the
-    missing indices avoid onb_rows), and the compressed shifts are the
-    submatrices S[rows][:, rows] of the box shifts, built as index maps
-    with no product.  A K that fails the test takes the dense certificates.
+    ||K^H K - I|| vanishes, and ||Q^H K|| is an index-set test (0 when the
+    missing indices avoid onb_rows).  A K that fails the test takes the
+    dense certificates.  _linalg.compress builds the shifts and the seed.
 
     comm_residual is ||J_z J_w - J_w J_z|| of the arrays the quotient
     holds; triple_from_quotient hands it to the triple, so the pair's
@@ -362,9 +337,8 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
     if k == 0:
         warnings.warn("trivial quotient: submodule fills the whole box", stacklevel=2)
 
-    hits = coordinate_entries(onb_k) if sub.onb_rows is not None else None
     # distinct rows, each column a coordinate vector: K^H K = I exactly
-    rows = hits[0] if hits is not None and (hits[1] == 1.0).all() else None
+    rows = coordinate_rows(onb_k) if sub.onb_rows is not None else None
     orth = cross = 0.0
     if rows is None:
         orth = opnorm(onb_k.conj().T @ onb_k - np.eye(k))
@@ -375,16 +349,7 @@ def quotient(sub: SubmoduleModel) -> QuotientModel:
             f"complement defect beyond tolerance (orth {orth:.2e}, cross {cross:.2e})"
         )
 
-    if rows is None:
-        jordan_z = onb_k.conj().T @ shift_rows(onb_k, space.order, "z")
-        jordan_w = onb_k.conj().T @ shift_rows(onb_k, space.order, "w")
-    else:
-        jordan_z, jordan_w = (_index_compression(rows, space, axis, onb_k.dtype)
-                              for axis in ("z", "w"))
-    # K^H e_(0,0), the compression of the constant 1, bit for bit: + 0.0
-    # turns the -0.0 that conj leaves into the +0.0 of that product
-    seed = onb_k[0].conj() + 0.0
-
+    jordan_z, jordan_w, seed = compress(onb_k, space.order, rows)
     comm = opnorm(jordan_z @ jordan_w - jordan_w @ jordan_z)
     if comm > COMM_TOL:
         if sub.exact:
@@ -434,31 +399,20 @@ def doubly_commute_test(sub: SubmoduleModel) -> DoublyCommuteReport:
     Characterization: the submodules of the single-inner-function form
     pass, and e.g. the span generated by {z, w} fails with residual 1.
 
-    A module stored by its index set (onb_rows: monomial generators and
-    monomial inners, a union of quadrants) is tested on that set with a
-    few boolean grid operations, O(n), and its residuals are exactly 0.0
-    or 1.0.  Every other module is tested from its complement basis
-    alone (compressed_commutator_residual), O(n k^2).
+    The residuals come from the complement basis alone, O(n k^2), or on
+    a union of quadrants from the module's index set, O(n), exactly 0.0
+    or 1.0 (compressed_commutator_residual).
     """
     if sub.rank < 1:
         raise PreconditionError("doubly-commute test needs a nonzero submodule")
-    space = sub.space
-    n1, n2 = space.order
-    if sub.onb_rows is not None:
-        inside = np.zeros(space.dim, dtype=bool)
-        inside[sub.onb_rows] = True
-        inside = inside.reshape(n1 + 1, n2 + 1)
-        (rz, nz), (rw, nw) = _index_set_residual(inside), _index_set_residual(inside.T)
-    else:
-        (rz, nz), (rw, nw) = compressed_commutator_residual(sub.complement, space.order)
+    k = sub.complement
+    (rz, nz), (rw, nw) = compressed_commutator_residual(k, sub.space.order, coordinate_rows(k))
     residual = max(rz, rw)
     return DoublyCommuteReport(
         residual_interior=residual,
         verdict=bool(residual <= COMMUTE_TOL),
         residual_z=rz,
         residual_w=rw,
-        interior_z=((0, n1 - 1), (1, n2)),
-        interior_w=((1, n1), (0, n2 - 1)),
         n_interior_z=nz,
         n_interior_w=nw,
     )

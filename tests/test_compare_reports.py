@@ -3,6 +3,8 @@ the config set that tools/report_configs.py writes for it."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,23 @@ def test_report_configs_writes_configs_the_runner_accepts(tmp_path, capsys):
         assert cfg.fmt == "csv" and cfg.checks
         if "codimension" in cfg.checks:
             assert cfg.inner is not None
+
+
+def test_a_closed_pipe_ends_the_tool_quietly(tmp_path):
+    """A reader that closes the pipe after one line (`| head -1`) ends the
+    tool without a traceback; the output, one table row and one field
+    line per check, is larger than a pipe holds, so the tool is still
+    writing when the pipe closes."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, value in ((a, 1.0), (b, 2.0)):
+        root.mkdir()
+        for i in range(1500):
+            (root / f"r.c{i}.json").write_text(json.dumps({"x": value}))
+    proc = subprocess.Popen([sys.executable, str(_TOOLS / "compare_reports.py"), str(a), str(b)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("check")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.wait(timeout=60)
+    proc.stderr.close()
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

@@ -31,7 +31,9 @@ no factorisation on that path.  The last section pins the small side of
 the similarity check: rowspace_gap against subspace_distance, the
 estimate from a coordinate source and the index-map quotient of a union
 of quadrants against the products they replace, byte for byte, the one
-coordinate test against the column test it replaced, the triple of a
+coordinate test against the column test and the axis counts it
+replaced, the index routes of compress and compressed_commutator_residual
+on coordinate bases against their product routes, the triple of a
 quotient against the constructor's, and one SVD of the random map per
 check, with no SVD of the second witness, whose refusals keep their
 messages, and one LU of the map for both conjugations.  The last section
@@ -65,8 +67,10 @@ import bidiscframes
 from bidiscframes import runner
 from bidiscframes._linalg import (
     canonical_basis,
+    compress,
     compressed_commutator_residual,
     coordinate_entries,
+    coordinate_rows,
     iterate_grid,
     opnorm,
     orthonormal_split,
@@ -928,7 +932,7 @@ def test_random_quadrant_modules_match_dense_reference():
             assert_doubly_commute_matches(sub)
             rep = doubly_commute_test(sub)
             assert {rep.residual_z, rep.residual_w} <= {0.0, 1.0}
-            (rz, nz), (rw, nw) = compressed_commutator_residual(sub.complement, order)
+            (rz, nz), (rw, nw) = compressed_commutator_residual(sub.complement, order, None)
             assert (rep.n_interior_z, rep.n_interior_w) == (nz, nw)
             assert (rep.residual_z, rep.residual_w) == pytest.approx((rz, rw), abs=TOL)
             verdicts.add(rep.verdict)
@@ -1550,7 +1554,7 @@ def test_index_map_quotient_matches_the_products(monkeypatch):
     submatrices S[rows][:, rows], equal byte for byte to K^H shift_rows(K),
     with no shift applied: catalog fixtures, random unions of quadrants
     and the zero submodule, which the riesz check takes."""
-    from bidiscframes import submodule
+    from bidiscframes import _linalg
 
     rng = np.random.default_rng(20261019)
     subs = [f.make_submodule(make_space(order)) for f in CATALOG for order in [(6, 6), (9, 5)]]
@@ -1565,7 +1569,7 @@ def test_index_map_quotient_matches_the_products(monkeypatch):
         k = sub.complement
         refs = [k.conj().T @ shift_rows(k, sub.space.order, axis) for axis in ("z", "w")]
         with monkeypatch.context() as patch:
-            patch.setattr(submodule, "shift_rows", refuse)
+            patch.setattr(_linalg, "shift_rows", refuse)
             quot = quotient(sub)
         for got, ref in zip((quot.jordan_z, quot.jordan_w), refs):
             assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -1639,6 +1643,105 @@ def test_coordinate_entries_agrees_with_the_column_test():
                     assert np.array_equal(got, ref)
                     checked += 1
     assert checked >= 30
+
+
+def ref_coordinate_entries(a):
+    """The axis-count form of the coordinate test: at most one nonzero per
+    column and per row by counts along each axis, rows by argmax."""
+    nonzero = a != 0
+    if (not a.shape[0]
+            or np.count_nonzero(nonzero, axis=0).max(initial=0) > 1
+            or np.count_nonzero(nonzero, axis=1).max() > 1):
+        return None
+    rows = nonzero.argmax(axis=0)
+    entries = a[rows, np.arange(a.shape[1])]
+    return (rows, entries) if np.isfinite(entries).all() else None
+
+
+def test_coordinate_entries_matches_the_axis_counts():
+    """The row-major scan of coordinate_entries gives what the axis counts
+    give, rows and entry bytes, on seeded random sparse matrices up to
+    6 x 6: real and complex, C and Fortran order, transposed views, with
+    entries 1.0, -2.0, NaN, inf and -0.0."""
+    rng = np.random.default_rng(20261022)
+    values = [1.0, -2.0, np.nan, np.inf, -0.0, 0.0]
+    passed = 0
+    for _ in range(4000):
+        m, n = (int(d) for d in rng.integers(0, 7, size=2))
+        a = np.zeros((m, n))
+        for _ in range(int(rng.integers(0, 7)) if m and n else 0):
+            a[rng.integers(m), rng.integers(n)] = values[rng.integers(len(values))]
+        a = a + 0j if rng.integers(2) else a
+        a = np.asfortranarray(a) if rng.integers(2) else a
+        a = a.T if rng.integers(3) == 0 else a
+        got, ref = coordinate_entries(a), ref_coordinate_entries(a)
+        assert (got is None) == (ref is None), a
+        if got is not None:
+            assert np.array_equal(got[0], ref[0]) and got[1].dtype == ref[1].dtype
+            assert got[1].tobytes() == ref[1].tobytes()
+            passed += 1
+    assert 500 < passed < 3500
+
+
+def test_coordinate_rows_edge_cases():
+    """coordinate_rows passes distinct unit coordinate columns with every
+    entry 1.0, and refuses a repeated row, an entry -1.0 or 0.5 and a
+    dense column; an n x 0 basis gives an empty array of rows."""
+    k = np.zeros((5, 2))
+    k[3, 0] = k[1, 1] = 1.0
+    assert coordinate_rows(k).tolist() == [3, 1]
+    rows = coordinate_rows(np.zeros((4, 0)))
+    assert rows is not None and rows.shape == (0,)
+    repeated, negative, half, dense = k.copy(), k.copy(), k.copy(), k.copy()
+    repeated[:, 1] = repeated[:, 0]
+    negative[3, 0] = -1.0
+    half[1, 1] = 0.5
+    dense[:, 1] = np.sqrt(0.2)
+    for bad in (repeated, negative, half, dense):
+        assert coordinate_rows(bad) is None
+
+
+def coordinate_catalog_rowspaces():
+    """(horizon, row space) of every coordinate catalog system at three
+    orders, the row spaces recover_model and kernel_doubly_commutes take."""
+    systems = [s for order in [(6, 6), (9, 5), (10, 4)] for s in catalog_systems(order)
+               if s._coordinate_entries is not None]
+    assert systems
+    return [(s.horizon, synthesis_rowspace(s)) for s in systems]
+
+
+def test_compress_index_route_matches_the_products():
+    """On the row space R of every coordinate catalog system, compress
+    takes the index route (coordinate_rows(R) is not None), and its
+    compressed shifts and seed equal those of the product route byte for
+    byte, with the same dtype."""
+    for horizon, k in coordinate_catalog_rowspaces():
+        rows = coordinate_rows(k)
+        assert rows is not None
+        for got, ref in zip(compress(k, horizon, rows), compress(k, horizon, None)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_commutator_index_route_matches_the_dense_route():
+    """compressed_commutator_residual with the rows of the basis agrees
+    with its dense route on random quadrant complements and on the row
+    spaces of the coordinate catalog systems: equal counts, residuals to
+    TOL, and exactly 0.0 or 1.0."""
+    rng = np.random.default_rng(20261021)
+    cases = [(order, random_quadrant_module(rng, order).complement)
+             for order in QUADRANT_ORDERS for _ in range(4)]
+    cases += coordinate_catalog_rowspaces()
+    residuals = set()
+    for order, k in cases:
+        rows = coordinate_rows(k)
+        assert rows is not None
+        dense = compressed_commutator_residual(k, order, None)
+        for (r, n), (r_ref, n_ref) in zip(compressed_commutator_residual(k, order, rows), dense):
+            assert n == n_ref and r in (0.0, 1.0)
+            assert r == pytest.approx(r_ref, abs=TOL)
+            residuals.add(r)
+    assert residuals == {0.0, 1.0}
 
 
 @pytest.mark.filterwarnings("ignore:trivial quotient", "ignore:submodule is approximate",

@@ -1,5 +1,5 @@
-"""Metamorphic relations between runs: the z <-> w swap, and a unitary
-change of basis on the quotient.
+"""Metamorphic relations between runs: the z <-> w swap, a rotation of
+Blaschke zeros, and a unitary change of basis on the quotient.
 
 Exchanging the two variables maps the Hardy space of the bidisc onto
 itself and carries each module, its quotient and its compressed shift
@@ -13,6 +13,15 @@ exception is the value of the orbit-norm grid of decay and
 probe-conjecture: they draw their random vector in the quotient's basis,
 which the swap permutes.
 
+Rotating every zero of a Blaschke product in z by e^(i alpha) carries
+its module to the image of the old one under the unitary
+f(z, w) -> f(e^(-i alpha) z, w), which is diagonal on the monomials: the
+compressed z-shift picks up a phase, and each iterate T1^i T2^j phi a
+phase e^(-i alpha i).  So a run and its rotation must reach the same
+verdicts with the same numbers, to 1e-9, except the orbit-norm grids of
+decay and probe-conjecture and their tail_max, whose random vector is
+drawn in the quotient's basis.
+
 A unitary W on the quotient carries a triple (T1, T2, phi) to
 (W T1 W*, W T2 W*, W phi), whose synthesis matrix is W times the old one:
 the singular values, the synthesis kernel and so every frame and kernel
@@ -21,6 +30,7 @@ dense, so this relation also checks the coordinate fast paths against
 the dense one.
 """
 
+import cmath
 import importlib.util
 import re
 import warnings
@@ -69,10 +79,10 @@ SWAP_PAIRS = {
 }
 
 
-def _run(config):
+def _run(config, checks=CHECKS):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = run(ExperimentConfig.from_json({**config, "checks": CHECKS, "seed": 3}))
+        out = run(ExperimentConfig.from_json({**config, "checks": checks, "seed": 3}))
     return out.exit_code, [r.to_json() for r in out.results]
 
 
@@ -106,6 +116,47 @@ def test_swapping_z_and_w_mirrors_every_report(name):
     assert exact == []
     moved = {field: dev for field, (dev, _) in floats.items()
              if dev > FLOAT_TOL and field not in RANDOM_GRIDS}
+    assert moved == {}
+
+
+ROTATED_BASES = {
+    "one-zero": {"inner": [0.5], "order": [10, 4]},
+    "two-zeros": {"inner": [0.5, -0.3], "order": [8, 5]},
+    "square": {"inner": [0.6], "order": [12, 12]},
+    "horizon": {"inner": [0.5], "order": [10, 4], "horizon": [12, 6]},
+}
+ANGLES = {"quarter": cmath.pi / 2, "one": 1.0, "half": cmath.pi}
+RANDOM_NORMS = RANDOM_GRIDS | {"decay.tail_max", "probe-conjecture.tail_max"}
+# the base is not a frame, with s_min / s_max = 2.4e-7, so rounding of
+# order eps / 2.4e-7 decides the synthesis-kernel match of equiv-vector:
+# it passes for real zeros and finds gaps of 2.1e-10 to 2.9e-10 for zeros
+# off the real axis, against KERNEL_MATCH_TOL = 1e-10
+ILL_CONDITIONED = pytest.mark.xfail(
+    strict=True, reason="FOUND in CHANGES.md: equiv-vector on a complex zero of the "
+                        "ill-conditioned horizon base, synthesis kernels differ by 2e-10")
+
+
+def _rotated(config, alpha):
+    turn = cmath.exp(1j * alpha)
+    return {**config, "inner": _blaschke("blaschke_z", [turn * z for z in config["inner"]])}
+
+
+@pytest.mark.parametrize("base,angle", [
+    pytest.param(base, angle, marks=ILL_CONDITIONED if base == "horizon" else ())
+    for base in ROTATED_BASES for angle in ANGLES])
+def test_rotating_blaschke_zeros_keeps_every_report(base, angle):
+    config = ROTATED_BASES[base]
+    real = {**config, "inner": _blaschke("blaschke_z", config["inner"])}
+    code, results = _run(real, CHECK_NAMES)
+    rotated_code, rotated_results = _run(_rotated(config, ANGLES[angle]), CHECK_NAMES)
+    assert code == rotated_code
+    floats, exact = {}, []
+    for r, s in zip(results, rotated_results, strict=True):
+        assert (r["check"], r["passed"], r["note"]) == (s["check"], s["passed"], s["note"])
+        compare_reports.walk(r["data"], s["data"], r["check"], floats, exact)
+    assert exact == []
+    moved = {field: dev for field, (dev, _) in floats.items()
+             if dev > FLOAT_TOL and field not in RANDOM_NORMS}
     assert moved == {}
 
 

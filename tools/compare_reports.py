@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -141,4 +142,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): stop quietly, with stdout
+        # sent to devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
