@@ -23,9 +23,13 @@ print("fixture catalog:")
 for fx in list_fixtures():
     print(f"  {fx.name:16s} {fx.summary}")
 
+# A chain builds each stage (space, submodule, quotient, triple, system)
+# when it is first read.  It stops at the quotient when the compressed
+# shifts give no operator pair: chain.note says why, and reading the
+# triple or the system raises PreconditionError.
 chain = build_chain(get_fixture("inner-zw"))
 sys = chain.system
-rep = chain.frame_report()
+rep = frame_bounds(sys)
 print(f"\ninner-zw chain: quotient dim {chain.quotient.dim}, "
       f"{sys.ncols} iterates")
 print(f"frame bounds [{rep.lower:.6f}, {rep.upper:.6f}] -> {rep.classification}")
@@ -49,7 +53,7 @@ print(f"\nseed doubled: bounds [{srep.lower:.1f}, {srep.upper:.1f}] "
 # submodule is exactly invariant, but its quotient is bigger than the
 # span of the iterates, so the lower bound collapses.
 bl = build_chain(get_fixture("blaschke-half"))
-brep = bl.frame_report()
+brep = frame_bounds(bl.system)
 print(f"\nblaschke-half: bounds [{brep.lower:.3f}, {brep.upper:.3f}] "
       f"-> {brep.classification}")
 print("(iterates of one seed cannot fill the truncation surplus)")
@@ -57,4 +61,5 @@ print("(iterates of one seed cannot fill the truncation surplus)")
 # Cross-variable products stop earlier: their compressed shifts do not
 # commute at this truncation, so no operator pair is formed.
 prod = build_chain(get_fixture("blaschke-product"))
-print(f"\nblaschke-product: system is {prod.system}; note: {prod.note}")
+print(f"\nblaschke-product: quotient dim {prod.quotient.dim}, no system; "
+      f"note: {prod.note}")

@@ -21,7 +21,7 @@ from bidiscframes import (
 )
 
 chain = build_chain(get_fixture("inner-zw"))
-triple = chain.system.triple
+triple = chain.triple
 rng = np.random.default_rng(7)
 f = rng.standard_normal(triple.dim) + 1j * rng.standard_normal(triple.dim)
 

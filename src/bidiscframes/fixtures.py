@@ -17,13 +17,14 @@ the quotient with a note instead of pretending to a commuting model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .frames import (
-    FrameReport,
+    GuardError,
     IterateSystem,
     OperatorTriple,
     PreconditionError,
-    frame_bounds,
+    _dim_limit,
     iterate,
 )
 from .hardy import BidiscPoly, DegreePair, TruncatedSpace, make_space
@@ -74,28 +75,6 @@ class Fixture:
         if self.kind == "riesz":
             return zero_submodule(space)
         raise ValueError(f"unknown fixture kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class FixtureChain:
-    """One fixture carried through the full construction chain.
-
-    triple and system are None when the quotient has no operator triple;
-    note says why.
-    """
-
-    fixture: Fixture
-    space: TruncatedSpace
-    submodule: SubmoduleModel
-    quotient: QuotientModel
-    triple: OperatorTriple | None
-    system: IterateSystem | None
-    note: str = ""
-
-    def frame_report(self) -> FrameReport:
-        if self.system is None:
-            raise ValueError(f"no iterate system for {self.fixture.name}: {self.note}")
-        return frame_bounds(self.system)
 
 
 def catalog_inner_specs() -> dict[str, InnerSpec]:
@@ -192,31 +171,67 @@ def list_fixtures(filter_text: str | None = None) -> tuple[Fixture, ...]:
     )
 
 
-def build_chain(fixture: Fixture, order=None, horizon=None) -> FixtureChain:
-    """Run one fixture through space, submodule, quotient, operator pair,
-    and iterate system.
+class FixtureChain:
+    """One recipe carried along the construction chain, a stage at a time.
 
-    The horizon defaults to the truncation order, which is the exactness
-    regime for the compressed-shift models.  A quotient with no operator
-    triple stops the chain, with triple_from_quotient's reason as note.
+    Each stage (space, submodule, quotient, triple, system) is built on
+    first use and cached; a stage that raises is not cached.  The space
+    holds the desk guard, so no later stage runs on a box the guard
+    refuses.  The chain stops at the quotient when the quotient has no
+    operator triple: triple then raises triple_from_quotient's
+    PreconditionError, and note says why.  The system iterates the triple
+    over the horizon, which defaults to the order.  A chain with no fixture
+    has no recipe: its submodule raises ValueError.
     """
-    space = make_space(order if order is not None else fixture.order)
-    sub = fixture.make_submodule(space)
-    quot = quotient(sub)
-    triple = system = None
-    note = ""
-    try:
-        triple = triple_from_quotient(quot)
-    except PreconditionError as exc:
-        note = str(exc)
-    else:
-        system = iterate(triple, horizon if horizon is not None else space.order)
-    return FixtureChain(
-        fixture=fixture,
-        space=space,
-        submodule=sub,
-        quotient=quot,
-        triple=triple,
-        system=system,
-        note=note,
-    )
+
+    def __init__(self, fixture: Fixture | None, order, horizon=None):
+        self.fixture = fixture
+        self.order = order
+        self.horizon = order if horizon is None else horizon
+
+    @cached_property
+    def space(self) -> TruncatedSpace:
+        space = make_space(self.order)
+        limit = _dim_limit()
+        if space.dim >= limit:
+            raise GuardError(
+                f"space dimension {space.dim} at or beyond the desk "
+                f"guard {limit}; set BDF_MAX_DIM to go bigger"
+            )
+        return space
+
+    @cached_property
+    def submodule(self) -> SubmoduleModel:
+        if self.fixture is None:
+            raise ValueError(
+                "this check needs a submodule recipe: give inner, "
+                "generators, or fixture"
+            )
+        return self.fixture.make_submodule(self.space)
+
+    @cached_property
+    def quotient(self) -> QuotientModel:
+        return quotient(self.submodule)
+
+    @cached_property
+    def triple(self) -> OperatorTriple:
+        return triple_from_quotient(self.quotient)
+
+    @cached_property
+    def system(self) -> IterateSystem:
+        return iterate(self.triple, self.horizon)
+
+    @cached_property
+    def note(self) -> str:
+        """Why the chain stops at the quotient, or "" when it reaches a
+        triple."""
+        try:
+            self.triple
+        except PreconditionError as exc:
+            return str(exc)
+        return ""
+
+
+def build_chain(fixture: Fixture, order=None, horizon=None) -> FixtureChain:
+    """The chain of a fixture, at its default order unless one is given."""
+    return FixtureChain(fixture, fixture.order if order is None else order, horizon)

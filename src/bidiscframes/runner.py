@@ -32,52 +32,35 @@ import re
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import adjoint_decay, conjecture_probe, equivalent_frame_report
-from .fixtures import catalog_inner_specs, get_fixture
+from .fixtures import Fixture, FixtureChain, build_chain, catalog_inner_specs, get_fixture
 from .frames import (
     GuardError,
     InvariantViolation,
-    IterateSystem,
-    OperatorTriple,
     PreconditionError,
-    _dim_limit,
     frame_bounds,
     iterate,
     kernel_doubly_commutes,
     kernel_shift_invariance,
     moved_frame_report,
 )
-from .hardy import (
-    BidiscPoly,
-    DegreePair,
-    TruncatedSpace,
-    _degree_pair,
-    _integer,
-    make_space,
-)
-from .inner import InnerSpec, build_inner, monomial_degree
+from .hardy import BidiscPoly, DegreePair, _degree_pair, _integer
+from .inner import InnerSpec, monomial_degree
 from .models import (
     estimate_similarity,
     random_similarity,
     recover_model,
     transport,
-    triple_from_quotient,
     uniqueness_of_L,
 )
-from .submodule import (
-    beurling_submodule,
-    codimension_profile,
-    doubly_commute_test,
-    generated_submodule,
-    jordan_identity_check,
-    quotient,
-    zero_submodule,
-)
+from .submodule import codimension_profile, doubly_commute_test, jordan_identity_check
+
+# Re-exported only for perfbench's tracer test, which reads runner.quotient.
+from .submodule import quotient  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -337,49 +320,27 @@ def _native(obj):
     return obj
 
 
-class RunContext:
-    """Lazy construction chain shared by the checks of one run; a stage
-    that raises is not cached."""
+def _recipe(cfg: ExperimentConfig) -> Fixture | None:
+    """The config's submodule recipe as a fixture: the named fixture, or
+    its inner function or generators, or None when it gives none."""
+    if cfg.fixture is not None:
+        return get_fixture(cfg.fixture)
+    if cfg.inner is not None:
+        return Fixture("inner", "the config's inner function", "inner", cfg.order,
+                       spec=cfg.inner)
+    if cfg.generators:
+        return Fixture("generated", "the config's generators", "generated", cfg.order,
+                       generators=cfg.generators)
+    return None
+
+
+class RunContext(FixtureChain):
+    """The construction chain of one run's recipe, shared by its checks,
+    with the config and its random streams."""
 
     def __init__(self, cfg: ExperimentConfig):
+        super().__init__(_recipe(cfg), cfg.order, cfg.horizon)
         self.cfg = cfg
-
-    @cached_property
-    def space(self) -> TruncatedSpace:
-        space = make_space(self.cfg.order)
-        limit = _dim_limit()
-        if space.dim >= limit:
-            raise GuardError(
-                f"space dimension {space.dim} at or beyond the desk "
-                f"guard {limit}; set BDF_MAX_DIM to go bigger"
-            )
-        return space
-
-    @cached_property
-    def submodule(self):
-        cfg = self.cfg
-        if cfg.fixture is not None:
-            return get_fixture(cfg.fixture).make_submodule(self.space)
-        if cfg.inner is not None:
-            return beurling_submodule(build_inner(cfg.inner, self.space.order), self.space)
-        if cfg.generators:
-            return generated_submodule(cfg.generators, self.space)
-        raise ValueError(
-            "this check needs a submodule recipe: give inner, "
-            "generators, or fixture"
-        )
-
-    @cached_property
-    def quotient(self):
-        return quotient(self.submodule)
-
-    @cached_property
-    def triple(self) -> OperatorTriple:
-        return triple_from_quotient(self.quotient)
-
-    @cached_property
-    def system(self) -> IterateSystem:
-        return iterate(self.triple, self.cfg.horizon)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.cfg.seed)
@@ -470,10 +431,12 @@ def _check_kernel_commutes(ctx: RunContext) -> tuple[dict, str]:
 
 def _check_riesz(ctx: RunContext) -> dict:
     """The plain shift pair with constant seed over the config order: the
-    quotient of the zero submodule, built after the space guard."""
-    space = ctx.space
-    triple = triple_from_quotient(quotient(zero_submodule(space)))
-    return frame_bounds(iterate(triple, space.order)).to_dict()
+    riesz-model chain at (order, order), which is the run's own chain when
+    the config is that fixture at its order."""
+    cfg = ctx.cfg
+    own = cfg.fixture == "riesz-model" and cfg.horizon == cfg.order
+    chain = ctx if own else build_chain(get_fixture("riesz-model"), cfg.order)
+    return frame_bounds(chain.system).to_dict()
 
 
 def _check_similarity(ctx: RunContext) -> dict:

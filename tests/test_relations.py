@@ -1,5 +1,6 @@
 """Metamorphic relations between runs: the z <-> w swap, a rotation of
-Blaschke zeros, and a unitary change of basis on the quotient.
+Blaschke zeros, a unitary change of basis on the quotient, and a scaling
+of the seed.
 
 Exchanging the two variables maps the Hardy space of the bidisc onto
 itself and carries each module, its quotient and its compressed shift
@@ -28,6 +29,9 @@ the singular values, the synthesis kernel and so every frame and kernel
 verdict are unchanged.  A Haar-random W makes every coordinate system
 dense, so this relation also checks the coordinate fast paths against
 the dense one.
+
+Scaling the seed, phi -> c phi, multiplies every iterate by c: the
+synthesis kernel is unchanged, and the frame bounds scale by |c|^2.
 """
 
 import cmath
@@ -48,7 +52,7 @@ from bidiscframes.frames import (
     kernel_shift_invariance,
     rowspace_gap,
 )
-from bidiscframes.runner import CHECK_NAMES, ExperimentConfig, run
+from bidiscframes.runner import _PASS, CHECK_NAMES, ExperimentConfig, run
 
 _spec = importlib.util.spec_from_file_location(
     "compare_reports", Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py")
@@ -173,8 +177,8 @@ def _catalog_systems():
         warnings.simplefilter("ignore")
         chains = [build_chain(fixture, order)
                   for order in [(6, 6), (9, 5), (10, 4)] for fixture in CATALOG]
-    return [(f"{c.fixture.name}-{c.space.order.d1}-{c.space.order.d2}", c.system)
-            for c in chains if c.system is not None]
+        return [(f"{c.fixture.name}-{c.space.order.d1}-{c.space.order.d2}", c.system)
+                for c in chains if not c.note]
 
 
 CATALOG_SYSTEMS = _catalog_systems()
@@ -210,3 +214,41 @@ def test_unitary_change_of_basis_keeps_every_frame_and_kernel_verdict(index):
             assert abs(getattr(r, field) - getattr(s, field)) <= KERNEL_RESIDUAL_TOL
 
     assert rowspace_gap(base, moved) <= GAP_TOL
+
+
+SCALES = {"1e-150": 1e-150, "1e-8": 1e-8, "1e8": 1e8, "1e150": 1e150}
+# kernel-invariance judges an absolute residual, 1e-8, which the seed's
+# scale moves: blaschke-half's residual at c = 1e8 is 9.8e-8 at (9, 5)
+# and 8.5e-8 at (10, 4)
+SCALE_DEPENDENT = pytest.mark.xfail(
+    strict=True, reason="FOUND in CHANGES.md: blaschke-half kernel-invariance judges an "
+                        "absolute residual, which grows with the seed's scale")
+
+
+def _kernel_verdicts(sys):
+    """The flags of the two kernel reports, and their verdicts by the
+    runner's rules."""
+    inv, dc = kernel_shift_invariance(sys), kernel_doubly_commutes(sys)
+    return ((inv.vacuous, inv.inconclusive, inv.n_checked),
+            (dc.vacuous, dc.inconclusive, dc.n_checked, dc.verdict),
+            _PASS["kernel-invariance"](vars(inv)), _PASS["kernel-doubly-commutes"](vars(dc)))
+
+
+@pytest.mark.parametrize("index,scale", [
+    pytest.param(index, scale, id=f"{name}-{scale}", marks=SCALE_DEPENDENT if (
+        name in ("blaschke-half-9-5", "blaschke-half-10-4") and SCALES[scale] > 1) else ())
+    for index, (name, _) in enumerate(CATALOG_SYSTEMS) for scale in SCALES])
+def test_scaling_the_seed_scales_the_bounds_and_keeps_every_kernel_verdict(index, scale):
+    """phi -> c phi multiplies every iterate by c: the frame bounds by |c|^2,
+    a parseval system becomes a tight frame, and the synthesis kernel,
+    so kernel_dim and every kernel verdict, stays the same."""
+    base = CATALOG_SYSTEMS[index][1]
+    c = SCALES[scale]
+    scaled = iterate(base.triple.with_seed(c * base.triple.phi), base.horizon)
+
+    a, b = frame_bounds(base), frame_bounds(scaled)
+    moved_class = "frame" if a.classification == "parseval" else a.classification
+    assert (b.classification, b.kernel_dim) == (moved_class, a.kernel_dim)
+    tol = BOUND_RTOL * a.upper * c * c
+    assert abs(b.lower - c * c * a.lower) <= tol and abs(b.upper - c * c * a.upper) <= tol
+    assert _kernel_verdicts(scaled) == _kernel_verdicts(base)
