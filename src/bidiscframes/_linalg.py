@@ -4,9 +4,10 @@ Subspaces of the box are handled on their small side where possible: a
 test on a submodule M of dimension n - k works with an orthonormal basis
 of the k-dimensional complement K, so it costs O(n k^2) instead of the
 O(n^3) of n x n projectors and spectral norms.  The quotient model
-(compress) and the double-commutation test each take an index route
-when K is coordinate vectors (coordinate_rows).  A spectral norm itself
-is taken from the Gram matrix on the smaller side, with no SVD.
+(compress) and the double-commutation test take an index route when
+given the rows of a coordinate K: the quotient scans K once
+(coordinate_rows), other callers read them off a recorded structure.
+A spectral norm is taken from the Gram on the smaller side, no SVD.
 
 Arrays keep the dtype of their data: a real input gives a float64
 result, computed in real arithmetic at about a quarter of the complex
@@ -253,9 +254,9 @@ def coordinate_rows(k):
 
 def compress(k_onb, order, rows):
     """(J_z, J_w, seed): the box shifts compressed to span(K), K = k_onb,
-    J = K^H S K, and the compression K^H e_(0,0) of the constant 1.  With
-    rows = coordinate_rows(K), J = S[rows][:, rows] is an index map, entry
-    (a, b) 1 when S moves monomial rows[b] to rows[a], with no product."""
+    J = K^H S K, and the compression K^H e_(0,0) of the constant 1.  Given
+    the rows of K's coordinate columns, J = S[rows][:, rows] is an index
+    map, entry (a, b) 1 when S moves monomial rows[b] to rows[a]."""
     k = np.asarray(k_onb)
     if rows is None:
         jz, jw = (k.conj().T @ shift_rows(k, order, axis) for axis in "zw")
@@ -304,9 +305,9 @@ def compressed_commutator_residual(k_onb, order, rows):
     vectors of M supported where A and B^* act exactly (a-degree below
     the edge, b-degree at least 1), and the dimension of that subspace;
     the residual is 0.0 when it is trivial.  M need not be
-    shift-invariant.  With rows = coordinate_rows(k_onb), M is spanned by
-    the coordinate vectors outside rows, and _index_set_residual tests
-    that index set, O(n), with residuals exactly 0.0 or 1.0.
+    shift-invariant.  Given the rows of k_onb's coordinate columns, M is
+    spanned by the coordinate vectors elsewhere: _index_set_residual
+    tests that index set, O(n), residuals exactly 0.0 or 1.0.
 
     Otherwise, as A B^* = B^* A holds exactly on the box, for x in M the
     commutator equals P (B^* K K^H A - A K K^H B^*) x with K = k_onb.

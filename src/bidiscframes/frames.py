@@ -1,43 +1,38 @@
 """Frames generated by iterating a commuting operator pair on a seed.
 
 The iterate family {T1^i T2^j phi : (i, j) inside a horizon box} is
-collected into a synthesis matrix whose columns follow the same
-row-major enumeration as the degree boxes.  Frame bounds are the
-extreme eigenvalues of the partial frame operator U U^H, read off the
-singular values of the synthesis matrix U; the kernel of the synthesis
-matrix is the space of coefficient relations among the iterates, and
-two structural tests probe it: invariance under the coordinate shifts
-of the horizon box, and double commutation of their compressions.  Both
-work from the row space, the kernel's complement, whose dimension is at
-most the operator dimension.
+collected into a synthesis matrix U, columns in the row-major order of
+the degree boxes.  Frame bounds are the extreme eigenvalues of the
+partial frame operator U U^H, read off the singular values of U.  The
+kernel of U holds the coefficient relations among the iterates; two
+tests probe it, invariance under the shifts of the horizon box and
+double commutation of their compressions, both from the row space, the
+kernel's complement, of dimension at most the operator dimension.
 
-Each system factorises its synthesis matrix once, cached on the system.
-As a rule that is one thin SVD, which gives the frame bounds, the rank,
-the kernel dimension and the row space; a frame report is built afresh
-on each call, in O(dim).  A moved system over a coordinate base of rank
-k takes no factorisation of its synthesis matrix at all:
+Each system factorises U once, cached on the system: as a rule one thin
+SVD, which gives the frame bounds, the rank and the row space; a frame
+report is built afresh on each call, in O(dim).  A moved system over a
+coordinate base of rank k takes no factorisation at all:
 moved_frame_report reads its gap from the base and its singular values
 off its k x k block B on the base's rank columns (U = B [I | X] up to
 the column order, so the gap is sin(arctan ||X||) and U U^H =
-B (I + X X^H) B^H), and caches nothing.  The bound trace over square
-sub-horizons is built only when read, on the smaller side of each
-corner, and cached beside the factorisation.  The iterates are kept
-once, as the synthesis matrix, which iterate() marks read-only, so no
-cache can go stale.
+B (I + X X^H) B^H), and caches nothing.  The bound trace is built only
+when read.  iterate() marks U read-only, so no cache can go stale.
 
-A coordinate synthesis matrix, with at most one nonzero entry in every
-row and every column, takes no factorisation.  Its iterates are
-multiples of distinct coordinate vectors: the compressed shifts of a
-union-of-quadrant module act as the two-variable Jordan block, and the
-shift pair of the Riesz check and any weighted shift pair act the same
-way.  One cached structure test per system, O(dim ncols), recognises it.
-The SVD is then read off the entries exactly, the bound trace is a
-running maximum and minimum over the rims with no Gram or eigvalsh, and
-the kernel is the coordinate span of the columns outside the rank set:
-its double-commutation test runs on that index set, and its invariance
-residual is the largest |entry| among the shifted kernel columns.  Both
-residuals are exact (0.0 or 1.0, and 0.0 or an entry modulus), with no
-masked_complement.  Every other system takes the dense path.  The
+A coordinate U, with at most one nonzero entry in every row and every
+column, takes no factorisation.  Its iterates are multiples of distinct
+coordinate vectors, as for the compressed shifts of a union-of-quadrant
+module (the two-variable Jordan block), the shift pair of the Riesz
+check and any weighted shift pair.  Each system decides its structure
+once, by one cached test, O(dim ncols), and every reader takes it from
+there.  The SVD is read off the entries exactly, the bound trace is a
+running maximum and minimum over the rims, and the coordinate rows of
+the row space (IterateSystem.coordinate_rows) send
+kernel_doubly_commutes and models.recover_model and estimate_similarity
+to their index routes, with no scan of a basis.  The kernel is the
+coordinate span of the columns outside the rank set: its invariance
+residual is the largest |entry| among the shifted kernel columns, and
+its double-commutation residuals are 0.0 or 1.0, both exact.  The
 row-space gap of two coordinate systems (rowspace_gap) compares their
 rank sets, with no product.
 """
@@ -57,7 +52,6 @@ from ._linalg import (
     _rescaled,
     compressed_commutator_residual,
     coordinate_entries,
-    coordinate_rows,
     hermitian_extremes,
     iterate_grid,
     masked_complement,
@@ -185,10 +179,8 @@ class IterateSystem:
     """All iterates of the seed inside a horizon box, as their synthesis
     matrix (dim x n_columns, columns in row-major horizon order).
 
-    The thin SVD of the synthesis matrix, the row space read off it and
-    the bound trace are computed on first use and cached on the system;
-    nothing else is.  A frame report reads its bounds off singular
-    values, so a report whose trace nobody reads never builds it.
+    The structure test, the thin SVD, the row space and the bound trace
+    are computed on first use and cached on the system; nothing else is.
     iterate() makes synthesis, and so its view vectors, read-only.
     """
 
@@ -227,37 +219,43 @@ class IterateSystem:
         return coordinate_entries(self.synthesis)
 
     @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U, singular values, Vh): the thin SVD of the synthesis matrix,
-        taken once per system.
-
-        A coordinate synthesis matrix (see _coordinate_entries) has it
-        exactly: the singular values are the |entries| in descending
-        order, ties going to the lower column, U holds the phases on the
-        rows hit and Vh the columns hit, and the unused coordinate vectors
-        complete both in index order.  Every other matrix takes the dense
-        thin SVD.
-        """
+    def _coordinate_order(self):
+        """The nonzero columns of a coordinate synthesis matrix in the order
+        of its SVD, |entry| descending, ties to the lower column; else None."""
         hits = self._coordinate_entries
         if hits is None:
+            return None
+        mod = np.abs(hits[1])
+        return np.argsort(-mod, kind="stable")[: np.count_nonzero(mod)]
+
+    def coordinate_rows(self, count: int):
+        """_linalg.coordinate_rows of Vh[:count]^H (the row space at count =
+        rank()) with no scan: the leading columns of a coordinate system,
+        whose Vh rows are e_c^T, and None for a dense one."""
+        cols = self._coordinate_order
+        return None if cols is None else cols[:count]
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, singular values, Vh): the thin SVD of the synthesis matrix,
+        taken once per system.  A coordinate matrix has it exactly: the
+        |entries| in _coordinate_order, U holding the phases on the rows
+        hit and Vh the columns hit, both completed by the unused coordinate
+        vectors in index order.  Every other matrix takes the dense SVD.
+        """
+        cols = self._coordinate_order
+        if cols is None:
             return tuple(np.linalg.svd(self.synthesis, full_matrices=False))
-        rows, entries = hits
-        dim, ncols = self.synthesis.shape
+        rows, entries = (a[cols] for a in self._coordinate_entries)
+        (dim, ncols), r = self.synthesis.shape, cols.size
         m = min(dim, ncols)
-        mod = np.abs(entries)
-        cols = np.argsort(-mod, kind="stable")[: np.count_nonzero(mod)]
-        r = cols.size
         s = np.zeros(m)
-        s[:r] = mod[cols]
-        free_rows = np.ones(dim, dtype=bool)
-        free_rows[rows[cols]] = False
-        free_cols = np.ones(ncols, dtype=bool)
-        free_cols[cols] = False
+        s[:r] = np.abs(entries)
         u = np.zeros((dim, m), dtype=self.synthesis.dtype)
-        u[np.flatnonzero(free_rows)[: m - r], np.arange(r, m)] = 1.0
-        u[rows[cols], np.arange(r)] = entries[cols] / s[:r]
+        u[np.delete(np.arange(dim), rows)[: m - r], np.arange(r, m)] = 1.0
+        u[rows, np.arange(r)] = entries / s[:r]
         vh = np.zeros((m, ncols), dtype=self.synthesis.dtype)
-        vh[np.arange(m), np.concatenate([cols, np.flatnonzero(free_cols)[: m - r]])] = 1.0
+        vh[np.arange(m), np.concatenate([cols, np.delete(np.arange(ncols), cols)[: m - r]])] = 1.0
         return u, s, vh
 
     @cached_property
@@ -633,9 +631,9 @@ def kernel_doubly_commutes(sys: IterateSystem) -> KernelCommuteReport:
     applied to kernel vectors supported on the interior sub-box
     (i <= L1-1, j >= 1), and mirrored for the other order.  A trivial
     kernel is vacuously true.  The residuals are computed from the row
-    space, the kernel's complement (see compressed_commutator_residual);
-    a coordinate row space puts the test on the kernel's index set, with
-    residuals exactly 0.0 or 1.0.
+    space, the kernel's complement (see compressed_commutator_residual).
+    A coordinate system puts it on the kernel's index set, read off the
+    system (IterateSystem.coordinate_rows), residuals exactly 0.0 or 1.0.
     """
     if sys.rank() == sys.ncols:
         return KernelCommuteReport(
@@ -643,8 +641,8 @@ def kernel_doubly_commutes(sys: IterateSystem) -> KernelCommuteReport:
             residual_z=0.0, residual_w=0.0, n_checked=0,
             message="trivial kernel; vacuously true",
         )
-    k = synthesis_rowspace(sys)
-    (rz, nz), (rw, nw) = compressed_commutator_residual(k, sys.horizon, coordinate_rows(k))
+    (rz, nz), (rw, nw) = compressed_commutator_residual(
+        synthesis_rowspace(sys), sys.horizon, sys.coordinate_rows(sys.rank()))
     if nz == 0 and nw == 0:
         return KernelCommuteReport(
             residual=float("nan"), verdict=False, vacuous=False, inconclusive=True,

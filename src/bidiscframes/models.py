@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import compress, coordinate_rows, null_space_onb, opnorm
+from ._linalg import compress, null_space_onb, opnorm
 from .frames import (
     GuardError,
     IterateSystem,
@@ -203,20 +203,18 @@ def estimate_similarity(source: IterateSystem, target: IterateSystem) -> np.ndar
     least-squares solution is the unique one.  It is U_target times the
     pseudoinverse of U_source, formed from the source's cached SVD with
     the cutoff of numpy.linalg.pinv (singular values above 1e-15 times
-    the largest).
-
-    When the kept rows of Vh are coordinate vectors, each a single entry
-    1 (_linalg.coordinate_rows), as for every coordinate source, U_target
-    Vh^H is a gather of target columns, with no product.
+    the largest).  For a coordinate source the kept rows of Vh are
+    coordinate vectors, whose rows the source records
+    (IterateSystem.coordinate_rows, sliced at that cutoff), so U_target
+    Vh^H is a gather of target columns, with no product and no scan.
     """
     if source.horizon != target.horizon:
         raise ValueError("systems must share a horizon")
     u, s, vh = source.svd
     keep = s > 1e-15 * s.max(initial=0.0)
-    v = vh[keep].conj().T
-    rows = coordinate_rows(v)
+    rows = source.coordinate_rows(np.count_nonzero(keep))
     if rows is None:
-        block = target.synthesis @ v
+        block = target.synthesis @ vh[keep].conj().T
     else:
         # C order, like the product, as the rounding below follows the layout
         block = np.ascontiguousarray(target.synthesis[:, rows])
@@ -251,7 +249,8 @@ def recover_model(sys: IterateSystem) -> ModelRecovery:
     the largest: so at least dim columns, and full rank dim.  The
     recovered quotient is the row space of the synthesis matrix, read off
     the system's cached SVD, and _linalg.compress gives its compressed
-    shifts and seed (index maps when the row space is coordinate).  The
+    shifts and seed: index maps on the rows the system records for a
+    coordinate row space (IterateSystem.coordinate_rows).  The
     intertwining residuals are evaluated on complement vectors supported
     away from the horizon edge, where the box shifts are exact.
     """
@@ -264,7 +263,7 @@ def recover_model(sys: IterateSystem) -> ModelRecovery:
     w = sys.synthesis @ k_onb
     cond_w = float(svals[0] / svals[rank - 1])
 
-    jordan_z, jordan_w, seed_coords = compress(k_onb, sys.horizon, coordinate_rows(k_onb))
+    jordan_z, jordan_w, seed_coords = compress(k_onb, sys.horizon, sys.coordinate_rows(rank))
 
     ideg, jdeg = sys.box_space.degree_grid()
     l1, l2 = sys.horizon

@@ -34,9 +34,10 @@ n x n orthogonal projector is built on demand, only when read.  The
 double-commutation test also works from the complement, so nothing
 costs more than O(n k^2) for a quotient of dimension k, besides the
 dense QR of multi-term generators.  Both are one call into _linalg,
-which takes the index route when K is coordinate vectors, as on a union
-of quadrants: the compressed shifts are then index maps, and the test
-takes O(n) boolean grid operations with residuals exactly 0.0 or 1.0.
+which takes the index route on a union of quadrants (the quotient scans
+K as its certificate; the test reads onb_rows): the compressed shifts
+are index maps, and the test takes O(n) boolean grid operations with
+residuals exactly 0.0 or 1.0.
 
 Every array here follows the dtype of the module's coefficients: for an
 inner function or generators with real coefficients (every catalog
@@ -401,12 +402,13 @@ def doubly_commute_test(sub: SubmoduleModel) -> DoublyCommuteReport:
 
     The residuals come from the complement basis alone, O(n k^2), or on
     a union of quadrants from the module's index set, O(n), exactly 0.0
-    or 1.0 (compressed_commutator_residual).
+    or 1.0 (compressed_commutator_residual): the rows of K are then the
+    indices outside onb_rows, with no scan of K.
     """
     if sub.rank < 1:
         raise PreconditionError("doubly-commute test needs a nonzero submodule")
-    k = sub.complement
-    (rz, nz), (rw, nw) = compressed_commutator_residual(k, sub.space.order, coordinate_rows(k))
+    rows = None if sub.onb_rows is None else np.delete(np.arange(sub.space.dim), sub.onb_rows)
+    (rz, nz), (rw, nw) = compressed_commutator_residual(sub.complement, sub.space.order, rows)
     residual = max(rz, rw)
     return DoublyCommuteReport(
         residual_interior=residual,

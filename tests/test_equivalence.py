@@ -36,7 +36,11 @@ replaced, the index routes of compress and compressed_commutator_residual
 on coordinate bases against their product routes, the triple of a
 quotient against the constructor's, and one SVD of the random map per
 check, with no SVD of the second witness, whose refusals keep their
-messages, and one LU of the map for both conjugations.  The last section
+messages, and one LU of the map for both conjugations.  The next section
+pins the coordinate structure each object decides once: the rows a
+system records against scans of its bases, the index set of the
+double-commutation test against the scan of K, and four coordinate
+tests in a ten-check run.  The last section
 pins the k x k block of a moved system: its singular values against the
 SVD's, a moved_frame_report that does not depend on what was read
 before, the one rank rule against the rules it replaced, and no
@@ -1921,6 +1925,126 @@ def test_transport_conjugates_both_operators_with_one_lu(monkeypatch):
                 assert got.tobytes() == ref.tobytes() and got.strides == ref.strides
             assert models._conjugate(l, triple.T1)[0].tobytes() == new.T1.tobytes()
     assert len(triples) == 24
+
+
+# --- coordinate structure decided once per object ----------------------------
+
+
+def structure_systems():
+    """Every system the inputs of this file build, with the moved systems
+    of similarity and equiv-vector over each: the catalog at (6, 6),
+    (9, 5) and (10, 4), riesz-model, inner-zw at (8, 8) with horizon
+    (12, 4) (a coordinate base of rank 13 below its dimension 17), the
+    chains of the 24 random quadrant complements, and the weighted shift
+    systems (moved only where the pair survives a similarity)."""
+    fixture = {f.name: f for f in CATALOG}
+    bases = [s for order in [(6, 6), (9, 5), (10, 4)] for s in catalog_systems(order)]
+    bases.append(build_chain(fixture["riesz-model"]).system)
+    bases.append(build_chain(fixture["inner-zw"], (8, 8), horizon=(12, 4)).system)
+    rng = np.random.default_rng(20261021)
+    for order in QUADRANT_ORDERS:
+        for _ in range(4):
+            quot = quotient(random_quadrant_module(rng, order))
+            if not quot.trivial:
+                bases.append(iterate(triple_from_quotient(quot), order))
+    moved = [m for seed, base in enumerate(bases) for m in moved_systems(base, seed)]
+    weighted = [weighted_shift_system(np.random.default_rng(12), *case)
+                for case in WEIGHTED_CASES]
+    moved += [m for seed, base in enumerate(weighted[:len(TRANSPORTABLE)])
+              for m in moved_systems(base, seed)]
+    return bases + weighted + moved
+
+
+@pytest.mark.filterwarnings("ignore:trivial quotient", "ignore:submodule is approximate",
+                            "ignore:horizon")
+def test_recorded_rows_are_the_scanned_rows():
+    """The rows a system records for its row space (sliced by rank) and
+    for the rows of Vh that estimate_similarity keeps (sliced at its
+    1e-15 cutoff) are what a scan of those bases finds, by the column
+    test and by coordinate_rows: the rows of a coordinate system, None on
+    every dense system, whose bases do not scan as coordinate either."""
+    seen = set()
+    for sys in structure_systems():
+        _, s, vh = sys.svd
+        keep = s > 1e-15 * s.max(initial=0.0)
+        coordinate = sys._coordinate_entries is not None
+        for count, basis in ((sys.rank(), synthesis_rowspace(sys)),
+                             (np.count_nonzero(keep), vh[keep].conj().T)):
+            got, ref = sys.coordinate_rows(count), ref_coordinate_rows(basis)
+            assert (got is not None) == (ref is not None) == coordinate
+            scanned = coordinate_rows(basis)
+            assert (scanned is not None) == coordinate
+            if coordinate:
+                assert np.array_equal(got, ref) and np.array_equal(got, scanned)
+        seen.add((coordinate, coordinate and sys.rank() < sys.triple.dim,
+                  coordinate and sys.rank() < np.count_nonzero(keep)))
+    # dense; coordinate of full rank; rank below dim; rank below the cutoff
+    assert {(False, False, False), (True, False, False), (True, True, False)} <= seen
+    assert any(kind[2] for kind in seen)
+
+
+@pytest.mark.filterwarnings("ignore:submodule is approximate")
+def test_double_commutation_reads_its_index_set_off_onb_rows(monkeypatch):
+    """doubly_commute_test scans no K: on a module with onb_rows it hands
+    compressed_commutator_residual the indices outside onb_rows, which
+    are the scan of K, and on every other module None, where K does not
+    scan as coordinate either."""
+    from bidiscframes import submodule
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("K scanned again")
+
+    real, handed = submodule.compressed_commutator_residual, []
+
+    def spy(k, order, rows):
+        handed.append(rows)
+        return real(k, order, rows)
+
+    rng = np.random.default_rng(20261021)
+    subs = index_map_modules(np.random.default_rng(20261019))
+    subs += [random_quadrant_module(rng, order) for order in QUADRANT_ORDERS for _ in range(4)]
+    subs += [f.make_submodule(make_space(order)) for f in CATALOG for order in [(6, 6), (9, 5)]]
+    monkeypatch.setattr(submodule, "compressed_commutator_residual", spy)
+    monkeypatch.setattr(submodule, "coordinate_rows", refuse)
+    kinds = set()
+    for sub in subs:
+        if sub.rank < 1:
+            continue
+        handed.clear()
+        doubly_commute_test(sub)
+        (rows,) = handed
+        ref = ref_coordinate_rows(sub.complement)
+        assert (rows is None) == (ref is None) == (sub.onb_rows is None)
+        if rows is not None:
+            assert np.array_equal(rows, ref)
+        kinds.add(rows is None)
+    assert kinds == {True, False}
+
+
+TEN_CHECKS = ("build-module", "mandrekar", "jordan", "frame-bounds", "kernel-invariance",
+              "kernel-doubly-commutes", "similarity", "recover", "decay", "equiv-vector")
+
+
+def test_a_ten_check_run_makes_four_coordinate_tests(monkeypatch):
+    """A ten-check run of inner-zw at (12, 12) makes four coordinate
+    tests: the quotient's certificate of K (169 x 25), and one structure
+    test per iterate system (the base, and the moved systems of
+    similarity and equiv-vector, 25 x 169 each).  mandrekar,
+    kernel-doubly-commutes, recover and the estimate of similarity read
+    the recorded structure."""
+    scan, shapes = coordinate_entries, []
+
+    def spy(a):
+        shapes.append(a.shape)
+        return scan(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bidiscframes") and vars(module).get("coordinate_entries") is scan:
+            monkeypatch.setattr(module, "coordinate_entries", spy)
+    config = {"fixture": "inner-zw", "order": [12, 12], "checks": list(TEN_CHECKS)}
+    outcome = runner.run(runner.ExperimentConfig.from_json(config))
+    assert [r.name for r in outcome.results] == list(TEN_CHECKS) and outcome.exit_code == 0
+    assert shapes == [(169, 25)] + [(25, 169)] * 3
 
 
 # --- the moved systems' block values ----------------------------------------

@@ -29,10 +29,12 @@ One JSON config per file, all in csv format:
   equiv-vector is not the identity;
 - inner-z2w at the rectangular order (20, 9) with the same two checks:
   the moved systems' k x k block route on a box that is not square;
-- inner-zw at (8, 8) with horizon (12, 4), with similarity and
-  equiv-vector: a coordinate base of rank 13 below its dimension 17,
-  with 65 columns, so its moved systems take the SVD, not the values of
-  their k x k block;
+- inner-zw at (8, 8) with horizon (12, 4), with kernel-invariance,
+  kernel-doubly-commutes, similarity and equiv-vector: a coordinate base
+  of rank 13 below its dimension 17, with 65 columns, so its moved
+  systems take the SVD, not the values of their k x k block, and the
+  coordinate rows of its row space are its first 13 SVD columns, not
+  all 17 rows of Vh;
 - inner-z2w at (8, 8) with horizon (12, 4) and the same two checks: a
   coordinate base of rank 17 below its dimension 25, where the map V of
   equiv-vector is not the identity, so its moved system is dense and
@@ -108,9 +110,9 @@ def configs() -> dict[str, dict]:
                                       "checks": ["similarity", "equiv-vector"]}
     out["inner-z2w.similarity-20-9"] = {"fixture": "inner-z2w", "order": [20, 9],
                                         "checks": ["similarity", "equiv-vector"]}
-    out["inner-zw.similarity-8-horizon-12-4"] = {"fixture": "inner-zw", "order": [8, 8],
-                                                 "horizon": [12, 4],
-                                                 "checks": ["similarity", "equiv-vector"]}
+    out["inner-zw.similarity-8-horizon-12-4"] = {
+        "fixture": "inner-zw", "order": [8, 8], "horizon": [12, 4],
+        "checks": ["kernel-invariance", "kernel-doubly-commutes", "similarity", "equiv-vector"]}
     out["inner-z2w.similarity-8-horizon-12-4"] = {"fixture": "inner-z2w", "order": [8, 8],
                                                   "horizon": [12, 4],
                                                   "checks": ["similarity", "equiv-vector"]}
