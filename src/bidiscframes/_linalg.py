@@ -7,7 +7,8 @@ O(n^3) of n x n projectors and spectral norms.  The quotient model
 (compress) and the double-commutation test take an index route when
 given the rows of a coordinate K: the quotient scans K once
 (coordinate_rows), other callers read them off a recorded structure.
-A spectral norm is taken from the Gram on the smaller side, no SVD.
+A spectral norm is taken from the Gram on the smaller side, no SVD, and
+none where the Frobenius bound clears a guard (guard_norm).
 
 Arrays keep the dtype of their data: a real input gives a float64
 result, computed in real arithmetic at about a quarter of the complex
@@ -64,6 +65,14 @@ def opnorm(a) -> float:
         return 0.0
     gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
     return scale * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
+def guard_norm(a, tol: float):
+    """The one guard rule: None, which clears the guard ||a|| <= tol, when
+    ||a||_F <= tol (1 - 1e-12), an upper bound with a margin for rounding
+    (Golub & Van Loan, Matrix Computations, 2.3); else opnorm(a), for the
+    caller to judge.  NaN entries raise LinAlgError, as in opnorm."""
+    return None if np.linalg.norm(a) <= tol * (1.0 - 1e-12) else opnorm(a)
 
 
 def _pivoted_qr(a, mode: str):
@@ -347,26 +356,27 @@ def compressed_commutator_residual(k_onb, order, rows):
     return tuple(out)
 
 
-def iterate_grid(t1, t2, phi, l1: int, l2: int) -> np.ndarray:
-    """The iterates v[i, j] = T2^j T1^i phi for i <= l1, j <= l2, as an
-    (l1+1, l2+1, dim) array.
+def iterate_columns(t1, t2, phi, l1: int, l2: int):
+    """The iterates v[i, j] = T2^j T1^i phi for i <= l1, j <= l2, streamed:
+    yields the (l1+1, dim) column block v[:, j], a new array, for j = 0..l2.
 
     The first column comes from the recurrence v[i+1, 0] = T1 v[i, 0],
     one matrix-vector product per vector; each later column is one
     matrix product of the whole column before it, v[:, j+1] = v[:, j] T2^T,
-    so the grid costs l1 + l2 products in all.  The three inputs are cast
-    once to their common dtype (float64 or complex128), so no step
-    upcasts a real operator to meet a complex vector.
+    so the box costs l1 + l2 products.  The three inputs are cast once to
+    their common dtype (float64 or complex128), so no step upcasts a real
+    operator to meet a complex vector.
     """
     dtype = np.result_type(t1, t2, phi, np.float64)
     t1, t2, phi = (np.asarray(x, dtype=dtype) for x in (t1, t2, phi))
-    v = np.empty((l1 + 1, l2 + 1, phi.shape[0]), dtype=dtype)
-    v[0, 0] = phi
+    block = np.empty((l1 + 1, phi.shape[0]), dtype=dtype)
+    block[0] = phi
     for i in range(l1):
-        v[i + 1, 0] = t1 @ v[i, 0]
-    for j in range(l2):
-        v[:, j + 1] = v[:, j] @ t2.T
-    return v
+        block[i + 1] = t1 @ block[i]
+    yield block
+    for _ in range(l2):
+        block = block @ t2.T
+        yield block
 
 
 def subspace_distance(q1, q2) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import iterate_grid, opnorm
+from ._linalg import guard_norm, iterate_columns
 from .frames import (
     FrameReport,
     InvariantViolation,
@@ -63,8 +63,13 @@ class OrbitTrace:
 
 
 def _orbit_norms(a1, a2, f, horizon):
-    grid = iterate_grid(a1, a2, f, int(horizon[0]), int(horizon[1]))
-    return np.linalg.norm(grid, axis=2)
+    """The (L1+1, L2+1) norms of A2^j A1^i f, taken from each column block
+    of _linalg.iterate_columns in turn: no grid of orbit vectors is kept."""
+    l1, l2 = int(horizon[0]), int(horizon[1])
+    norms = np.empty((l1 + 1, l2 + 1))
+    for j, block in enumerate(iterate_columns(a1, a2, f, l1, l2)):
+        norms[:, j] = np.linalg.norm(block, axis=1)
+    return norms
 
 
 def _trace(norms, direction, fnorm, note=""):
@@ -147,8 +152,9 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
     Under those hypotheses the new iterates are V applied to the old
     ones, so frame-ness, minimality, and the synthesis kernel are all
     preserved; this is asserted, and violations raise.  Non-commuting or
-    singular V is rejected up front with the violated bound.  The base
-    system's cached factorisation is reused, the moved system is
+    singular V is rejected up front with the violated bound (judged by
+    _linalg.guard_norm).  The base system's cached factorisation is
+    reused, the moved system is
     compared with it by moved_frame_report, and the moved triple keeps
     the base triple's checked pair (OperatorTriple.with_seed).
     """
@@ -157,8 +163,8 @@ def equivalent_frame_report(base: IterateSystem, v) -> FrameReport:
     if v.shape != (triple.dim, triple.dim):
         raise ValueError(f"map shape {v.shape} does not match dim {triple.dim}")
     for name, t in (("T1", triple.T1), ("T2", triple.T2)):
-        comm = opnorm(v @ t - t @ v)
-        if comm > COMMUTE_REQ:
+        comm = guard_norm(v @ t - t @ v, COMMUTE_REQ)
+        if comm is not None and comm > COMMUTE_REQ:
             raise ValueError(f"map does not commute with {name}: "
                              f"residual {comm:.3e} > {COMMUTE_REQ:.1e}")
     svals = np.linalg.svd(v, compute_uv=False)

@@ -52,8 +52,9 @@ from ._linalg import (
     _rescaled,
     compressed_commutator_residual,
     coordinate_entries,
+    guard_norm,
     hermitian_extremes,
-    iterate_grid,
+    iterate_columns,
     masked_complement,
     null_space_onb,
     opnorm,
@@ -124,23 +125,25 @@ class OperatorTriple:
     every iterate system built on the triple runs in real arithmetic, and
     complex128 as soon as one is complex.  Arrays already of that dtype
     are not copied; treat them as read-only.  Construction fails unless
-    the pair commutes to 1e-10 in spectral norm.  A triple from a quotient
-    (models.triple_from_quotient) or from with_seed reuses the residual
-    the package already computed on the same pair.
+    the pair commutes to 1e-10 in spectral norm (judged by
+    _linalg.guard_norm).  A triple from a quotient
+    (models.triple_from_quotient) or from with_seed reuses the check the
+    package already made on the same pair.
     """
 
     T1: np.ndarray
     T2: np.ndarray
     phi: np.ndarray
     dim: int = field(init=False)
-    comm_residual: float = field(init=False)
 
     def __post_init__(self):
-        self._store(self.T1, self.T2, self.phi, None)
+        self._store(self.T1, self.T2, self.phi, None, None)
 
-    def _store(self, t1, t2, phi, comm):
-        """Cast to the common dtype, check the shapes, refuse a residual
-        comm = ||T1 T2 - T2 T1|| (None: computed here) above COMM_TOL."""
+    def _store(self, t1, t2, phi, comm, pair):
+        """Cast to the common dtype and check the shapes.  A pair checked
+        before comes with its residual comm = ||T1 T2 - T2 T1||, or with
+        the arrays pair it was checked as; with neither, it is checked
+        here and refused above COMM_TOL."""
         dtype = np.result_type(t1, t2, phi, np.float64)
         t1 = np.asarray(t1, dtype=dtype)
         t2 = np.asarray(t2, dtype=dtype)
@@ -150,28 +153,38 @@ class OperatorTriple:
             raise ValueError(
                 f"operator shapes {t1.shape}, {t2.shape} do not match seed length {n}"
             )
-        if comm is None:
-            comm = opnorm(t1 @ t2 - t2 @ t1)
-        if comm > COMM_TOL:
+        if comm is None and pair is None:
+            comm = guard_norm(t1 @ t2 - t2 @ t1, COMM_TOL)
+        if comm is not None and comm > COMM_TOL:
             raise PreconditionError(f"operators do not commute: residual {comm:.3e}")
         for name, value in (("T1", t1), ("T2", t2), ("phi", phi), ("dim", n),
-                            ("comm_residual", float(comm))):
+                            ("_pair", pair or (t1, t2))):
             object.__setattr__(self, name, value)
+        if comm is not None:
+            object.__setattr__(self, "comm_residual", float(comm))
+
+    @cached_property
+    def comm_residual(self) -> float:
+        """||T1 T2 - T2 T1|| of the pair as checked, spectral norm: known
+        from the check or the quotient, else taken on first read."""
+        t1, t2 = self._pair
+        return opnorm(t1 @ t2 - t2 @ t1)
 
     @classmethod
-    def _checked(cls, t1, t2, phi, comm: float) -> "OperatorTriple":
-        """The triple of a pair whose commutator residual comm is known."""
+    def _checked(cls, t1, t2, phi, comm, pair) -> "OperatorTriple":
+        """The triple of a pair checked before (see _store)."""
         triple = object.__new__(cls)
-        triple._store(t1, t2, phi, comm)
+        triple._store(t1, t2, phi, comm, pair)
         return triple
 
     def with_seed(self, phi) -> "OperatorTriple":
         """The triple of this checked pair with another seed.
 
-        The pair is not multiplied again: it keeps comm_residual, and it
+        The pair is not multiplied again: it shares comm_residual, and it
         is cast to complex128 only when the seed is complex.
         """
-        return OperatorTriple._checked(self.T1, self.T2, phi, self.comm_residual)
+        return OperatorTriple._checked(self.T1, self.T2, phi,
+                                       vars(self).get("comm_residual"), self._pair)
 
 
 @dataclass(frozen=True)
@@ -382,8 +395,9 @@ class KernelCommuteReport:
 def iterate(triple: OperatorTriple, horizon) -> IterateSystem:
     """Build every iterate T1^i T2^j phi for (i, j) in the horizon box.
 
-    The grid is built a column at a time, one matrix product per column
-    (see iterate_grid), and kept as the read-only synthesis matrix.
+    The read-only, C-contiguous synthesis matrix is allocated once, and
+    each column block v[:, j] of _linalg.iterate_columns is written into
+    its columns j, j + (L2+1), ...: no grid, no transposed copy.
     Refuses to run past desk scale: operator dimension >= BDF_MAX_DIM
     (default 2000) or horizon boxes with 1e5 or more columns.
     """
@@ -398,8 +412,9 @@ def iterate(triple: OperatorTriple, horizon) -> IterateSystem:
         )
     if ncols >= COLS_LIMIT:
         raise GuardError(f"horizon box has {ncols} columns (guard {COLS_LIMIT})")
-    grid = iterate_grid(triple.T1, triple.T2, triple.phi, l1, l2)
-    synthesis = grid.reshape(ncols, triple.dim).T.copy()
+    synthesis = np.empty((triple.dim, ncols), dtype=triple.phi.dtype)
+    for j, block in enumerate(iterate_columns(triple.T1, triple.T2, triple.phi, l1, l2)):
+        synthesis[:, j::l2 + 1] = block.T
     synthesis.flags.writeable = False
     return IterateSystem(triple=triple, horizon=horizon, synthesis=synthesis)
 

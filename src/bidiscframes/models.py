@@ -14,11 +14,12 @@ the only certified witness between the two triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import compress, null_space_onb, opnorm
+from ._linalg import compress, guard_norm, null_space_onb, opnorm
 from .frames import (
     GuardError,
     IterateSystem,
@@ -50,14 +51,28 @@ CONDITION_GUARD = 1e6
 class SimilarityWitness:
     """An invertible map claimed to conjugate one triple onto another,
     with its extreme singular values and the intertwining residuals
-    ||L T1 - T1' L||, ||L T2 - T2' L|| and ||L phi - phi'||."""
+    ||L T1 - T1' L||, ||L T2 - T2' L|| and ||L phi - phi'||.
+
+    differences holds L T1 - T1' L and L T2 - T2' L, each with its
+    guard_norm against WITNESS_TOL, which is what certified reads."""
 
     L: np.ndarray
     sigma_min: float
     sigma_max: float
-    residual_T1: float
-    residual_T2: float
     residual_phi: float
+    differences: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def residual_T1(self) -> float:
+        """||L T1 - T1' L||, spectral norm, taken on first read if not known."""
+        d, norm = self.differences[0]
+        return opnorm(d) if norm is None else norm
+
+    @cached_property
+    def residual_T2(self) -> float:
+        """||L T2 - T2' L||, spectral norm, taken on first read if not known."""
+        d, norm = self.differences[1]
+        return opnorm(d) if norm is None else norm
 
     @property
     def cond(self) -> float:
@@ -67,8 +82,7 @@ class SimilarityWitness:
     def certified(self) -> bool:
         return (
             self.sigma_min > 0
-            and self.residual_T1 <= WITNESS_TOL
-            and self.residual_T2 <= WITNESS_TOL
+            and all(norm is None or norm <= WITNESS_TOL for _, norm in self.differences)
             and self.residual_phi <= WITNESS_TOL
         )
 
@@ -111,7 +125,8 @@ def triple_from_quotient(quot: QuotientModel) -> OperatorTriple:
     """
     if quot.trivial:
         raise PreconditionError("trivial quotient has no operator triple")
-    return OperatorTriple._checked(quot.jordan_z, quot.jordan_w, quot.seed, quot.comm_residual)
+    return OperatorTriple._checked(quot.jordan_z, quot.jordan_w, quot.seed, quot.comm_residual,
+                                   None)
 
 
 def _conjugate(l: np.ndarray, *ops: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -129,36 +144,29 @@ def _witness_differences(l, source: OperatorTriple, t1, t2, phi) -> tuple[np.nda
     return l @ source.T1 - t1 @ l, l @ source.T2 - t2 @ l, l @ source.phi - phi
 
 
-def _residuals(d1, d2, d_phi) -> tuple[float, float, float]:
-    """The intertwining residuals ||L T1 - T1' L||, ||L T2 - T2' L|| and
-    ||L phi - phi'||: spectral norms of the witness differences."""
-    return opnorm(d1), opnorm(d2), float(np.linalg.norm(d_phi))
-
-
 def certify_similarity(l, source: OperatorTriple, target: OperatorTriple,
                        svals=None) -> SimilarityWitness:
     """Residuals of the similarity equations for a candidate witness.
 
     The equations are checked in intertwining form, L T = T' L and
     L phi = phi', so a witness is certified by what it does and not by a
-    recomputation of the conjugated triple.  svals, the singular values
-    of l in descending order, spare a second SVD when the caller has
-    them.
+    recomputation of the conjugated triple; an operator residual whose
+    Frobenius norm clears WITNESS_TOL takes no spectral norm until read
+    (_linalg.guard_norm).  svals, the singular values of l in descending
+    order, spare a second SVD when the caller has them.
     """
     l = np.asarray(l, dtype=np.complex128)
     if l.shape != (source.dim, source.dim):
         raise ValueError(f"witness shape {l.shape} does not match dim {source.dim}")
     if svals is None:
         svals = np.linalg.svd(l, compute_uv=False)
-    res_t1, res_t2, res_phi = _residuals(
-        *_witness_differences(l, source, target.T1, target.T2, target.phi))
+    d1, d2, d_phi = _witness_differences(l, source, target.T1, target.T2, target.phi)
     return SimilarityWitness(
         L=l,
         sigma_min=float(svals[-1]),
         sigma_max=float(svals[0]),
-        residual_T1=res_t1,
-        residual_T2=res_t2,
-        residual_phi=res_phi,
+        residual_phi=float(np.linalg.norm(d_phi)),
+        differences=tuple((d, guard_norm(d, WITNESS_TOL)) for d in (d1, d2)),
     )
 
 
@@ -309,10 +317,10 @@ def uniqueness_of_L(sys: IterateSystem, l1, l2, target: OperatorTriple | None = 
     returns it), spares conjugating again; svals, the singular values of
     l1 in descending order, spare its SVD.  The second witness takes no
     SVD when Weyl's bounds, its singular values within d = ||l1 - l2|| of
-    l1's, clear the singularity test by a factor of 2, and its residuals
-    take no spectral norm when their Frobenius norms, which bound them
-    from above, clear WITNESS_TOL; the spectral norms are taken only for
-    the message of a refusal.
+    l1's, clear the singularity test by a factor of 2, and an operator
+    residual takes no spectral norm when its Frobenius norm, which bounds
+    it from above, clears WITNESS_TOL (_linalg.guard_norm); the refusal
+    names the largest residual.
     """
     report = frame_bounds(sys)
     if not report.is_frame:
@@ -333,11 +341,11 @@ def uniqueness_of_L(sys: IterateSystem, l1, l2, target: OperatorTriple | None = 
         moved = (*_conjugate(l1, source.T1, source.T2), l1 @ source.phi)
     else:
         moved = (target.T1, target.T2, target.phi)
-    differences = _witness_differences(l2, source, *moved)
-    if max(np.linalg.norm(d) for d in differences) > WITNESS_TOL * (1.0 - 1e-12):
-        worst = max(_residuals(*differences))
-        if worst > WITNESS_TOL:
-            raise PreconditionError(
-                f"second witness not certified: residual {worst:.3e} > {WITNESS_TOL:.1e}"
-            )
+    *differences, d_phi = _witness_differences(l2, source, *moved)
+    norms = [guard_norm(d, WITNESS_TOL) for d in differences]
+    worst = max([float(np.linalg.norm(d_phi))] + [n for n in norms if n is not None])
+    if worst > WITNESS_TOL:
+        raise PreconditionError(
+            f"second witness not certified: residual {worst:.3e} > {WITNESS_TOL:.1e}"
+        )
     return UniquenessReport(distance=distance, certified=True)

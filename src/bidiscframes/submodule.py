@@ -60,7 +60,7 @@ from ._linalg import (
     compress,
     compressed_commutator_residual,
     coordinate_rows,
-    iterate_grid,
+    iterate_columns,
     kronecker_split,
     opnorm,
     orthonormal_split,
@@ -422,25 +422,23 @@ def doubly_commute_test(sub: SubmoduleModel) -> DoublyCommuteReport:
 
 def jordan_identity_residual(quot: QuotientModel, m: int, n: int) -> float:
     """Deviation between the iterated-compression route and the direct
-    projection route for the (m, n) iterate of the seed."""
-    space = quot.parent.space
-    vec = quot.seed.copy()
-    for _ in range(m):
-        vec = quot.jordan_z @ vec
-    for _ in range(n):
-        vec = quot.jordan_w @ vec
-    direct = quot.onb_k.conj().T @ space.basis_vector(m, n)
-    return float(np.linalg.norm(vec - direct))
+    projection route for the (m, n) iterate of the seed: row m of the
+    last column block of the recurrence (_linalg.iterate_columns)."""
+    for block in iterate_columns(quot.jordan_z, quot.jordan_w, quot.seed, m, n):
+        pass
+    direct = quot.onb_k.conj().T @ quot.parent.space.basis_vector(m, n)
+    return float(np.linalg.norm(block[m] - direct))
 
 
 def jordan_identity_check(quot: QuotientModel) -> dict:
     """Sweep the identity over interior degrees.
 
     Interior means at least the parent generator degree away from the box
-    edge, so no intermediate iterate is clipped.  One pass over the grid:
-    the iterated route comes from the recurrence iterate() uses, which
-    makes the same products as jordan_identity_residual, and the direct
-    route K^H e_(m,n) is the conjugate of row (m, n) of K.
+    edge, so no intermediate iterate is clipped.  One pass over the box:
+    the iterated route is streamed a column block v[:, j] at a time by
+    the recurrence iterate() uses (_linalg.iterate_columns), and each
+    block keeps only its residuals against the direct route K^H e_(m,n),
+    the conjugate of row (m, n) of K.
     """
     space = quot.parent.space
     n1, n2 = space.order
@@ -451,9 +449,11 @@ def jordan_identity_check(quot: QuotientModel) -> dict:
     m_max = n1 - p - 1
     n_max = n2 - q - 1
     m_top, n_top = max(m_max, 0), max(n_max, 0)
-    routed = iterate_grid(quot.jordan_z, quot.jordan_w, quot.seed, m_top, n_top)
-    direct = quot.onb_k.reshape(n1 + 1, n2 + 1, quot.dim)[: m_top + 1, : n_top + 1]
-    residuals = np.linalg.norm(routed - direct.conj(), axis=-1)
+    direct = quot.onb_k.reshape(n1 + 1, n2 + 1, quot.dim)[: m_top + 1]
+    residuals = np.empty((m_top + 1, n_top + 1))
+    blocks = iterate_columns(quot.jordan_z, quot.jordan_w, quot.seed, m_top, n_top)
+    for j, block in enumerate(blocks):
+        residuals[:, j] = np.linalg.norm(block - direct[:, j].conj(), axis=-1)
     return {
         "max_residual": float(residuals.max()),
         "degree_box": [m_max, n_max],

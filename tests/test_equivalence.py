@@ -21,8 +21,11 @@ the complement, and checks that it runs no factorisation.  The next
 section pins the dtype contract: a real module's chain is float64 from
 end to end and agrees with the same quotient cast to complex128.  The
 last section pins the small-side spectral steps: opnorm from a Gram
-matrix against the SVD norm, the column-at-a-time iterate grid against
-one recurrence per vector, and the bound trace, built only when read.
+matrix against the SVD norm, the column blocks of iterate_columns
+against one recurrence per vector, the readers that stream those blocks
+(iterate, the orbit norms, the Jordan sweep) against the formulas on the
+whole grid they replaced, byte for byte, and the bound trace, built only
+when read.
 The last section pins the coordinate path of an iterate system (at most
 one nonzero entry in every row and column of its synthesis matrix) on
 weighted shift pairs: the exact SVD, bound trace and kernel tests
@@ -75,12 +78,13 @@ from bidiscframes._linalg import (
     compressed_commutator_residual,
     coordinate_entries,
     coordinate_rows,
-    iterate_grid,
+    iterate_columns,
     opnorm,
     orthonormal_split,
     rank_mask,
     subspace_distance,
 )
+from bidiscframes.dynamics import adjoint_decay, conjecture_probe
 from bidiscframes.fixtures import CATALOG, build_chain
 from bidiscframes.frames import (
     CLASS_RTOL,
@@ -116,7 +120,6 @@ from bidiscframes.submodule import (
     doubly_commute_test,
     generated_submodule,
     jordan_identity_check,
-    jordan_identity_residual,
     quotient,
     zero_submodule,
 )
@@ -261,16 +264,21 @@ def ref_recover_model(sys, rtol=1e-10):
 
 
 def ref_jordan_identity_check(quot):
-    """The identity swept one (m, n) at a time, each iterate recomputed."""
-    n1, n2 = quot.parent.space.order
+    """The identity swept one (m, n) at a time, each iterate recomputed
+    one vector at a time (ref_iterate_grid) and each direct route
+    K^H e_(m,n) formed from its basis vector."""
+    space = quot.parent.space
+    n1, n2 = space.order
     p, q = (0, 0)
     if quot.parent.kind == "beurling" and quot.parent.inner is not None:
         p, q = quot.parent.inner.poly.maxdeg
     m_max, n_max = n1 - p - 1, n2 - q - 1
+    m_top, n_top = max(m_max, 0), max(n_max, 0)
+    routed = ref_iterate_grid(quot.jordan_z, quot.jordan_w, quot.seed, m_top, n_top)
     residuals = [
-        jordan_identity_residual(quot, m, n)
-        for m in range(max(m_max, 0) + 1)
-        for n in range(max(n_max, 0) + 1)
+        np.linalg.norm(routed[m, n] - quot.onb_k.conj().T @ space.basis_vector(m, n))
+        for m in range(m_top + 1)
+        for n in range(n_top + 1)
     ]
     return {"max_residual": max(residuals), "degree_box": [m_max, n_max],
             "n_checked": len(residuals)}
@@ -1146,23 +1154,130 @@ def ref_iterate_grid(t1, t2, phi, l1, l2):
     return v
 
 
-@pytest.mark.parametrize("horizon", [(0, 7), (7, 0), (9, 5)])
-@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
-def test_iterate_grid_matches_the_per_vector_recurrence(kind, horizon):
-    """Block products give every iterate to 1e-13 relative, in the
-    common dtype of the inputs (mixed: real operators, complex seed)."""
-    rng = np.random.default_rng(47)
-    dim = 6
+def stacked_iterate_grid(t1, t2, phi, l1, l2):
+    """The whole (l1+1, l2+1, dim) grid of iterates, each column one
+    product of the column before it, written into the grid: the formula
+    that iterate, the orbit norms and the Jordan sweep read before they
+    took the column blocks of iterate_columns one at a time."""
+    dtype = np.result_type(t1, t2, phi, np.float64)
+    t1, t2, phi = (np.asarray(x, dtype=dtype) for x in (t1, t2, phi))
+    v = np.empty((l1 + 1, l2 + 1, phi.shape[0]), dtype=dtype)
+    v[0, 0] = phi
+    for i in range(l1):
+        v[i + 1, 0] = t1 @ v[i, 0]
+    for j in range(l2):
+        v[:, j + 1] = v[:, j] @ t2.T
+    return v
+
+
+def commuting_pair(rng, kind, dim=6):
+    """Two polynomials in one random matrix, which commute to rounding, and
+    a seed; kind "mixed" gives real operators and a complex seed."""
     a = _random_matrix(rng, (dim, dim), kind == "complex")
     a /= np.linalg.norm(a, 2)
     t1 = 0.6 * np.eye(dim) + 0.3 * a
     t2 = 0.5 * np.eye(dim) - 0.2 * a + 0.2 * a @ a
-    phi = _random_matrix(rng, dim, kind != "real")
-    got = iterate_grid(t1, t2, phi, *horizon)
+    return t1, t2, _random_matrix(rng, dim, kind != "real")
+
+
+HORIZONS = [(0, 7), (7, 0), (9, 5)]
+
+
+@pytest.mark.parametrize("horizon", HORIZONS)
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_iterate_columns_match_the_per_vector_recurrence(kind, horizon):
+    """Block products give every iterate to 1e-13 relative, in the
+    common dtype of the inputs (mixed: real operators, complex seed),
+    one (l1+1, dim) column block v[:, j] at a time."""
+    t1, t2, phi = commuting_pair(np.random.default_rng(47), kind)
+    blocks = list(iterate_columns(t1, t2, phi, *horizon))
+    assert len(blocks) == horizon[1] + 1
+    got = np.stack(blocks, axis=1)
     ref = ref_iterate_grid(t1, t2, phi, *horizon)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     err = np.linalg.norm(got - ref, axis=-1)
     assert np.all(err <= 1e-13 * np.linalg.norm(ref, axis=-1))
+
+
+def streamed_cases():
+    """(name, triple, horizon): commuting pairs in real, complex and mixed
+    dtypes at the horizons of HORIZONS, and the catalog's triples at
+    (6, 6), (9, 5) and (10, 4) over the box of their order."""
+    rng = np.random.default_rng(48)
+    for kind in ("real", "complex", "mixed"):
+        for horizon in HORIZONS:
+            yield f"{kind} {horizon}", OperatorTriple(*commuting_pair(rng, kind)), horizon
+    for fixture in CATALOG:
+        for order in [(6, 6), (9, 5), (10, 4)]:
+            quot = quotient(fixture.make_submodule(make_space(order)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    triple = triple_from_quotient(quot)
+                except PreconditionError:  # a trivial quotient, or a pair that fails to commute
+                    continue
+            yield f"{fixture.name} {order}", triple, order
+
+
+@pytest.mark.filterwarnings("ignore:trivial quotient", "ignore:submodule is approximate",
+                            "ignore:compressed shifts commute")
+def test_streamed_readers_match_the_stacked_grid_byte_for_byte():
+    """iterate's synthesis matrix and the orbit norms of adjoint_decay and
+    conjecture_probe have the bytes of the formulas on the whole grid
+    they replaced: reshape(ncols, dim).T.copy() and np.linalg.norm along
+    the grid's last axis.  The synthesis matrix stays C-contiguous and
+    read-only."""
+    rng = np.random.default_rng(49)
+    names = []
+    for name, t, (l1, l2) in streamed_cases():
+        ncols = (l1 + 1) * (l2 + 1)
+        grid = stacked_iterate_grid(t.T1, t.T2, t.phi, l1, l2)
+        syn = iterate(t, (l1, l2)).synthesis
+        ref = grid.reshape(ncols, t.dim).T.copy()
+        assert syn.flags.c_contiguous and not syn.flags.writeable, name
+        assert syn.dtype == ref.dtype and syn.tobytes() == ref.tobytes(), name
+        f = _random_matrix(rng, t.dim, True)
+        for seed in (t.phi, f):
+            adjoint = stacked_iterate_grid(t.T1.conj().T, t.T2.conj().T, seed, l1 + 1, l2 + 1)
+            forward = stacked_iterate_grid(t.T1, t.T2, seed, l1 + 1, l2 + 1)
+            got = adjoint_decay(t, seed, (l1 + 1, l2 + 1)).norms
+            assert got.tobytes() == np.linalg.norm(adjoint, axis=2).tobytes(), name
+            got = conjecture_probe(t, seed, (l1 + 1, l2 + 1), kernel_verdict=True).norms
+            assert got.tobytes() == np.linalg.norm(forward, axis=2).tobytes(), name
+        names.append(name)
+    assert len(names) > 9 + 2 * len(CATALOG)
+
+
+@pytest.mark.filterwarnings("ignore:trivial quotient", "ignore:submodule is approximate",
+                            "ignore:compressed shifts commute")
+@pytest.mark.parametrize("order", [(6, 6), (9, 5), (10, 4)])
+@pytest.mark.parametrize("fixture", CATALOG, ids=lambda f: f.name)
+def test_jordan_residuals_match_the_stacked_grid_byte_for_byte(monkeypatch, fixture, order):
+    """Each column block of jordan_identity_check's residuals has the bytes
+    of np.linalg.norm(routed - direct.conj(), axis=-1) on the whole grid
+    routed and the whole direct block of K that it replaced."""
+    quot = quotient(fixture.make_submodule(make_space(order)))
+    if quot.trivial:
+        pytest.skip("trivial quotient: no Jordan block")
+    n1, n2 = order
+    m_max, n_max = jordan_identity_check(quot)["degree_box"]
+    m_top, n_top = max(m_max, 0), max(n_max, 0)
+    routed = stacked_iterate_grid(quot.jordan_z, quot.jordan_w, quot.seed, m_top, n_top)
+    direct = quot.onb_k.reshape(n1 + 1, n2 + 1, quot.dim)[: m_top + 1, : n_top + 1]
+    ref = np.linalg.norm(routed - direct.conj(), axis=-1)
+    blocks, norm = [], np.linalg.norm
+
+    def spy(x, *args, **kwargs):
+        out = norm(x, *args, **kwargs)
+        if kwargs.get("axis") == -1:
+            blocks.append(out)
+        return out
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    got = jordan_identity_check(quot)
+    monkeypatch.undo()
+    assert np.stack(blocks, axis=1).tobytes() == ref.tobytes()
+    assert got["max_residual"] == float(ref.max()) and got["n_checked"] == ref.size
 
 
 @pytest.mark.parametrize("reader", [None, "frame-bounds", "parseval"])

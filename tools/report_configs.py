@@ -24,10 +24,13 @@ One JSON config per file, all in csv format:
 - at the rectangular order (9, 4), riesz with no recipe and riesz-model
   with frame-bounds: the same shift pair, reached once by the check and
   once through the fixture's chain;
-- inner-z2w at (28, 28) with similarity and equiv-vector: dense moved
-  systems over a coordinate base at benchmark scale, where the map V of
-  equiv-vector is not the identity;
-- inner-z2w at the rectangular order (20, 9) with the same two checks:
+- inner-z2w at (28, 28) with jordan, similarity, decay,
+  probe-conjecture and equiv-vector: dense moved systems over a
+  coordinate base at benchmark scale, where the map V of equiv-vector
+  is not the identity, and the streamed iterate recurrence of jordan,
+  decay and probe-conjecture on a second nilpotent pattern;
+- inner-z2w at the rectangular order (20, 9) with similarity and
+  equiv-vector:
   the moved systems' k x k block route on a box that is not square;
 - inner-zw at (8, 8) with horizon (12, 4), with kernel-invariance,
   kernel-doubly-commutes, similarity and equiv-vector: a coordinate base
@@ -107,7 +110,8 @@ def configs() -> dict[str, dict]:
     out["riesz-model.frame-bounds-9-4"] = {"fixture": "riesz-model", "order": [9, 4],
                                            "checks": ["frame-bounds"]}
     out["inner-z2w.similarity-28"] = {"fixture": "inner-z2w", "order": [28, 28],
-                                      "checks": ["similarity", "equiv-vector"]}
+                                      "checks": ["jordan", "similarity", "decay",
+                                                 "probe-conjecture", "equiv-vector"]}
     out["inner-z2w.similarity-20-9"] = {"fixture": "inner-z2w", "order": [20, 9],
                                         "checks": ["similarity", "equiv-vector"]}
     out["inner-zw.similarity-8-horizon-12-4"] = {
