@@ -103,22 +103,10 @@ def orthonormal_columns(a):
     return q[:, :rank], rank
 
 
-def orthonormal_split(a):
-    """Orthonormal bases of the column span and of its orthogonal
-    complement, from one full pivoted QR.
-
-    Returns (q, complement, rank); the span basis is the one
-    orthonormal_columns gives, and the complement is put in the
-    canonical form of canonical_basis, so it depends only on the span.
-    """
-    q, rank = _pivoted_qr(a, "full")
-    complement, _ = canonical_basis(q[:, rank:])
-    return q[:, :rank], complement, rank
-
-
 def kronecker_split(f1, f2):
-    """orthonormal_split of the Kronecker product f1 (x) f2, in the
-    row-major index, from one full pivoted QR of each factor.
+    """Orthonormal bases of the column span of the Kronecker product
+    f1 (x) f2, in the row-major index, and of its orthogonal complement,
+    from one full pivoted QR of each factor.
 
     With Q_i = [M_i K_i] the QR of f_i split at its rank r_i, the span of
     f1 (x) f2 is that of M1 (x) M2, and its complement is spanned by the
@@ -126,7 +114,10 @@ def kronecker_split(f1, f2):
     Appl. Math. 123, 2000).  Returns (m1, m2, complement, rank), with the
     span basis left in factored form m1 (x) m2, the complement canonical
     and the rank r1 r2.  Each QR has only the rows of its factor; the
-    canonical basis costs O(n k^2).
+    canonical basis costs O(n k^2).  A family f with no Kronecker
+    structure is f (x) [[1]]: the trivial factor gives m2 = [[1]] and no
+    K2, so the span basis is m1 and the complement the canonical form of
+    K1, from the one pivoted QR of f.
     """
     (q1, r1), (q2, r2) = _pivoted_qr(f1, "full"), _pivoted_qr(f2, "full")
     k0 = np.hstack([np.kron(q1[:, r1:], np.eye(q2.shape[0])),

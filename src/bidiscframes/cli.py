@@ -38,8 +38,8 @@ _CHECK_COMMANDS = {
 _FAILURE = {2: "config error", 3: "guard tripped"}
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True):
-    parser.add_argument("--config", required=config_required, metavar="PATH",
+def _add_common(parser: argparse.ArgumentParser):
+    parser.add_argument("--config", required=True, metavar="PATH",
                         help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override the config seed")

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .frames import (
-    GuardError,
     IterateSystem,
     OperatorTriple,
     PreconditionError,
-    _dim_limit,
+    desk_guard,
     iterate,
 )
 from .hardy import BidiscPoly, DegreePair, TruncatedSpace, make_space
@@ -78,14 +77,10 @@ class Fixture:
 
 
 def catalog_inner_specs() -> dict[str, InnerSpec]:
-    """The monomial inner functions exercised by the standard checks."""
-    return {
-        "z": InnerSpec.monomial(1, 0),
-        "w": InnerSpec.monomial(0, 1),
-        "zw": InnerSpec.monomial(1, 1),
-        "z2w": InnerSpec.monomial(2, 1),
-        "zw2": InnerSpec.monomial(1, 2),
-    }
+    """The monomial inner functions exercised by the standard checks: the
+    specs of the inner-* fixtures, keyed by the name after "inner-"."""
+    return {f.name.removeprefix("inner-"): f.spec for f in CATALOG
+            if f.name.startswith("inner-")}
 
 
 def _monomial_fixture(name: str, a: int, b: int, note: str) -> Fixture:
@@ -176,9 +171,10 @@ class FixtureChain:
 
     Each stage (space, submodule, quotient, triple, system) is built on
     first use and cached; a stage that raises is not cached.  The space
-    holds the desk guard, so no later stage runs on a box the guard
-    refuses.  The chain stops at the quotient when the quotient has no
-    operator triple: triple then raises triple_from_quotient's
+    holds the desk guard (frames.desk_guard, which iterate also applies
+    to the operator dimension), so no later stage runs on a box the
+    guard refuses.  The chain stops at the quotient when the quotient has
+    no operator triple: triple then raises triple_from_quotient's
     PreconditionError, and note says why.  The system iterates the triple
     over the horizon, which defaults to the order.  A chain with no fixture
     has no recipe: its submodule raises ValueError.
@@ -192,12 +188,7 @@ class FixtureChain:
     @cached_property
     def space(self) -> TruncatedSpace:
         space = make_space(self.order)
-        limit = _dim_limit()
-        if space.dim >= limit:
-            raise GuardError(
-                f"space dimension {space.dim} at or beyond the desk "
-                f"guard {limit}; set BDF_MAX_DIM to go bigger"
-            )
+        desk_guard("space", space.dim)
         return space
 
     @cached_property

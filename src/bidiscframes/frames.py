@@ -30,10 +30,11 @@ running maximum and minimum over the rims, and the coordinate rows of
 the row space (IterateSystem.coordinate_rows) send
 kernel_doubly_commutes and models.recover_model and estimate_similarity
 to their index routes, with no scan of a basis.  The kernel is the
-coordinate span of the columns outside the rank set: its invariance
-residual is the largest |entry| among the shifted kernel columns, and
-its double-commutation residuals are 0.0 or 1.0, both exact.  The
-row-space gap of two coordinate systems (rowspace_gap) compares their
+coordinate span of the columns outside the rank set, the leading rank()
+of them: its invariance residual is the largest |entry| among the
+shifted kernel columns, and its double-commutation residuals are 0.0 or
+1.0, both exact.  The row-space gap (rowspace_gap) of two systems of
+unequal rank is 1.0, and of two coordinate systems a comparison of their
 rank sets, with no product.
 """
 
@@ -59,7 +60,6 @@ from ._linalg import (
     null_space_onb,
     opnorm,
     rank_mask,
-    subspace_distance,
 )
 from .hardy import DegreePair, TruncatedSpace, shift_rows, _as_degree
 
@@ -72,6 +72,7 @@ __all__ = [
     "FrameReport",
     "KernelInvarianceReport",
     "KernelCommuteReport",
+    "desk_guard",
     "iterate",
     "synthesis_kernel",
     "synthesis_rowspace",
@@ -106,14 +107,17 @@ class PreconditionError(ValueError):
     example "not a frame"); the runner records it as that check's FAIL."""
 
 
-def _dim_limit() -> int:
+def desk_guard(stage: str, dim: int) -> None:
+    """The one desk guard: GuardError when the dimension dim of a stage
+    ("space", "operator") is at or beyond BDF_MAX_DIM, default DIM_LIMIT."""
     raw = os.environ.get("BDF_MAX_DIM")
-    if raw is None:
-        return DIM_LIMIT
     try:
-        return int(raw)
+        limit = DIM_LIMIT if raw is None else int(raw)
     except ValueError as exc:
         raise ValueError(f"BDF_MAX_DIM must be an integer, got {raw!r}") from exc
+    if dim >= limit:
+        raise GuardError(f"{stage} dimension {dim} at or beyond the desk guard "
+                         f"{limit}; set BDF_MAX_DIM to go bigger")
 
 
 @dataclass(frozen=True)
@@ -398,18 +402,13 @@ def iterate(triple: OperatorTriple, horizon) -> IterateSystem:
     The read-only, C-contiguous synthesis matrix is allocated once, and
     each column block v[:, j] of _linalg.iterate_columns is written into
     its columns j, j + (L2+1), ...: no grid, no transposed copy.
-    Refuses to run past desk scale: operator dimension >= BDF_MAX_DIM
-    (default 2000) or horizon boxes with 1e5 or more columns.
+    Refuses to run past desk scale: an operator dimension the desk guard
+    refuses (desk_guard) or horizon boxes with 1e5 or more columns.
     """
     horizon = _as_degree(horizon)
     l1, l2 = horizon
     ncols = (l1 + 1) * (l2 + 1)
-    limit = _dim_limit()
-    if triple.dim >= limit:
-        raise GuardError(
-            f"operator dimension {triple.dim} is at or above the guard {limit}; "
-            "set BDF_MAX_DIM to lift"
-        )
+    desk_guard("operator", triple.dim)
     if ncols >= COLS_LIMIT:
         raise GuardError(f"horizon box has {ncols} columns (guard {COLS_LIMIT})")
     synthesis = np.empty((triple.dim, ncols), dtype=triple.phi.dtype)
@@ -494,15 +493,18 @@ def _coordinate_kernel(sys: IterateSystem):
     IterateSystem._coordinate_entries), else None.
 
     The kernel is then the coordinate span of the columns outside the
-    rank set, those whose |entry| is at or below KERNEL_RTOL times the
-    largest (the rank rule), and modulus holds each column's |entry|.
+    rank set, the leading rank() columns of the system's coordinate
+    order (IterateSystem.coordinate_rows): its SVD is the sorted
+    |entries|, so the system's one rank decision picks the set.  modulus
+    holds each column's |entry|.
     """
     hits = sys._coordinate_entries
     if hits is None:
         return None
     shape = (sys.horizon.d1 + 1, sys.horizon.d2 + 1)
-    mod = np.abs(hits[1])
-    return ~rank_mask(mod).reshape(shape), mod.reshape(shape)
+    kernel = np.ones(sys.ncols, dtype=bool)
+    kernel[sys.coordinate_rows(sys.rank())] = False
+    return kernel.reshape(shape), np.abs(hits[1]).reshape(shape)
 
 
 def _block_gap(sys: IterateSystem, kernel: np.ndarray) -> tuple[float, np.ndarray] | None:
@@ -548,18 +550,18 @@ def rowspace_gap(a: IterateSystem, b: IterateSystem) -> float:
     same horizon, which is also the gap between their synthesis kernels,
     since each kernel projector is I minus the row-space one.
 
-    Two coordinate systems (see _coordinate_kernel) have coordinate row
+    Row spaces of unequal rank are exactly 1.0 apart (Bjorck & Golub,
+    Math. Comp. 27, 1973), with no products.  At equal rank, two
+    coordinate systems (see _coordinate_kernel) have coordinate row
     spaces, so the gap is 0.0 when their rank sets agree and 1.0 when
-    they differ, with no products.  Unequal ranks take the two-term
-    formula of subspace_distance, equal ranks the one term
-    ||(I - P_a) Q_b||.
+    they differ; other systems take the one term ||(I - P_a) Q_b||.
     """
+    if a.rank() != b.rank():
+        return 1.0
     grid_a, grid_b = _coordinate_kernel(a), _coordinate_kernel(b)
     if grid_a is not None and grid_b is not None:
         return 0.0 if np.array_equal(grid_a[0].ravel(), grid_b[0].ravel()) else 1.0
     qa, qb = synthesis_rowspace(a), synthesis_rowspace(b)
-    if qa.shape[1] != qb.shape[1]:
-        return subspace_distance(qa, qb)
     return opnorm(qb - qa @ (qa.conj().T @ qb))
 
 

@@ -132,10 +132,7 @@ class BidiscPoly:
         return BidiscPoly(out)
 
     def __sub__(self, other: "BidiscPoly") -> "BidiscPoly":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0.0) - c
-        return BidiscPoly(out)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, BidiscPoly):

@@ -21,9 +21,10 @@ factorisation with n = (N1+1)(N2+1) rows:
 - every other inner a config can build is separable, theta1(z) theta2(w),
   so its spanning family is a Kronecker product and K comes from one
   pivoted QR of each one-variable family (_linalg.kronecker_split);
-- only generators with more than one term (library use) take one full
-  pivoted QR of the spanning family, which lists each distinct product
-  once and is real when the generators are.
+- generators with more than one term (library use) take the same split
+  with the trivial second factor [[1]]: one full pivoted QR of the
+  spanning family, which lists each distinct product once and is real
+  when the generators are.
 
 The submodule's own basis is the largest array (n x rank); it is kept in
 factored form and built only when read.  The quotient model is built on
@@ -63,7 +64,6 @@ from ._linalg import (
     iterate_columns,
     kronecker_split,
     opnorm,
-    orthonormal_split,
 )
 from .frames import COMM_TOL, COMMUTE_TOL, PreconditionError
 from .hardy import BidiscPoly, DegreePair, TruncatedSpace
@@ -96,9 +96,9 @@ class SubmoduleModel:
 
     The orthonormal basis Q of the subspace itself is kept in factored
     form and built only when `onb` is read: Q = M1 (x) M2 for the pair
-    `onb_factors` (a basis without that structure is stored as
-    (Q, [[1]])), or Q is the coordinate vectors of the rows `onb_rows`,
-    in index order.
+    `onb_factors` of _linalg.kronecker_split (M2 = [[1]], the trivial
+    factor, for a module with no Kronecker structure), or Q is the
+    coordinate vectors of the rows `onb_rows`, in index order.
     """
 
     space: TruncatedSpace
@@ -228,11 +228,13 @@ def _split(gens: Sequence[BidiscPoly], space: TruncatedSpace, axis_factors=None)
     """(complement, rank, stored basis) of the degree-safe closure of gens.
 
     Monomials span a union of quadrants: both bases are coordinate
-    vectors, the complement the missing monomials in index order.  A
-    separable generator theta1(z) theta2(w), given as axis_factors, goes
-    through the one-variable factorisations of kronecker_split.  Anything
-    else takes the full pivoted QR of the spanning family.  The stored
-    basis is the onb_rows or onb_factors keyword of SubmoduleModel.
+    vectors, the complement the missing monomials in index order.  Every
+    other module goes through kronecker_split: a separable generator
+    theta1(z) theta2(w), given as axis_factors, as the product of its two
+    one-variable shift families, and anything else as its spanning
+    family times the trivial factor [[1]], so that one pivoted QR of the
+    family gives the stored basis (Q, [[1]]).  The stored basis is the
+    onb_rows or onb_factors keyword of SubmoduleModel.
     """
     if all(len(g.coeffs) == 1 for g in gens):
         i, j = space.degree_grid()
@@ -246,11 +248,11 @@ def _split(gens: Sequence[BidiscPoly], space: TruncatedSpace, axis_factors=None)
         rows = np.flatnonzero(inside)
         return complement, rows.size, {"onb_rows": rows}
     if axis_factors is not None:
-        families = (_shift_family(t, d) for t, d in zip(axis_factors, space.order))
-        m1, m2, complement, rank = kronecker_split(*families)
-        return complement, rank, {"onb_factors": (m1, m2)}
-    onb, complement, rank = orthonormal_split(_spanning_family(gens, space))
-    return complement, rank, {"onb_factors": (onb, np.ones((1, 1)))}
+        families = [_shift_family(t, d) for t, d in zip(axis_factors, space.order)]
+    else:
+        families = [_spanning_family(gens, space), np.ones((1, 1))]
+    m1, m2, complement, rank = kronecker_split(*families)
+    return complement, rank, {"onb_factors": (m1, m2)}
 
 
 def beurling_submodule(phi: InnerPoly, space: TruncatedSpace) -> SubmoduleModel:

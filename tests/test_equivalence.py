@@ -13,8 +13,8 @@ complex pivoted QR of the family with every duplicate.  They live here
 only, as the yardstick: verdicts and counts must agree exactly,
 residuals to 1e-12.  The structured submodules (coordinate vectors for
 monomials, one-variable factorisations for separable inners) are also
-pinned to the package's own dense path, orthonormal_split of the
-spanning family, which multi-term generators still take.  A union of
+pinned to the package's own dense path, the Kronecker split of the
+whole spanning family with the trivial second factor [[1]].  A union of
 quadrants takes the double-commutation test on its index set; its
 section pins that test to the dense reference and to the dense route on
 the complement, and checks that it runs no factorisation.  The next
@@ -79,8 +79,8 @@ from bidiscframes._linalg import (
     coordinate_entries,
     coordinate_rows,
     iterate_columns,
+    kronecker_split,
     opnorm,
-    orthonormal_split,
     rank_mask,
     subspace_distance,
 )
@@ -762,9 +762,11 @@ def test_spanning_family_lists_each_distinct_product_once():
 
 def dense_split(sub):
     """(onb, complement, rank) from one full pivoted QR of the spanning
-    family: the path that multi-term generators take."""
+    family, the Kronecker split with the trivial second factor [[1]]: the
+    path that multi-term generators take."""
     gens = (sub.inner.poly,) if sub.kind == "beurling" else sub.generators
-    return orthonormal_split(_spanning_family(gens, sub.space))
+    m1, m2, complement, rank = kronecker_split(_spanning_family(gens, sub.space), np.ones((1, 1)))
+    return np.kron(m1, m2), complement, rank
 
 
 def assert_split_matches_dense(sub, rng, min_margin=1e-6):
@@ -845,6 +847,39 @@ def test_random_separable_splits_match_dense_split(order):
             assert dense.onb_factors[0].shape[0] == space.dim
         assert_split_matches_dense(sub, rng, min_margin=0.0)
         assert np.abs(sub.complement - dense.complement).max() <= TOL
+
+
+def test_multi_term_generators_take_the_one_split_route(monkeypatch):
+    """Multi-term generators take the route of every other module: one
+    kronecker_split of the spanning family with a 1 x 1 second factor,
+    two pivoted QRs (the family's and the trivial factor's), and the
+    stored basis (Q, [[1.0]])."""
+    from bidiscframes import _linalg, submodule
+
+    splits, qrs = [], []
+    real_split, real_qr = submodule.kronecker_split, _linalg._pivoted_qr
+    monkeypatch.setattr(submodule, "kronecker_split",
+                        lambda f1, f2: splits.append((f1.shape, f2)) or real_split(f1, f2))
+    monkeypatch.setattr(_linalg, "_pivoted_qr",
+                        lambda a, mode: qrs.append(np.shape(a)) or real_qr(a, mode))
+    rng = np.random.default_rng(20261021)
+    real = generated_submodule([BidiscPoly({(1, 0): 1.0, (0, 1): -1.0})], make_space((4, 5)))
+    subs = [real] + [random_generated_module(rng) for _ in range(12)]
+    subs = [sub for sub in subs if not all(len(g.coeffs) == 1 for g in sub.generators)]
+    assert len(subs) >= 6
+    for sub in subs:
+        splits.clear()
+        qrs.clear()
+        sub = generated_submodule(sub.generators, sub.space)
+        family = _spanning_family(sub.generators, sub.space)
+        assert [shape for shape, _ in splits] == [family.shape]
+        np.testing.assert_array_equal(splits[0][1], np.ones((1, 1)))
+        assert qrs == [family.shape, (1, 1)]
+        q, one = sub.onb_factors
+        assert one.dtype == np.float64
+        np.testing.assert_array_equal(one, [[1.0]])
+        assert q.shape == (sub.space.dim, sub.rank)
+        assert np.abs(np.kron(q, one) - dense_split(sub)[0]).max() <= TOL
 
 
 @pytest.mark.parametrize("fixture", CATALOG, ids=[f.name for f in CATALOG])
@@ -1377,10 +1412,18 @@ WEIGHTED_CASES = [
 def test_weighted_shift_systems_match_dense_reference(order, horizon, complex_, zero_from, tiny):
     """The exact SVD, bound trace and kernel tests of a coordinate
     synthesis matrix agree with the dense references, and the kernel
-    residuals are exact: 0.0 or 1.0, and 0.0 or an entry modulus."""
+    residuals are exact: 0.0 or 1.0, and 0.0 or an entry modulus.  The
+    kernel grid, the columns outside the leading rank() of the SVD, is
+    the cut of the column moduli it replaced, the 1e-12 weights included."""
     rng = np.random.default_rng([*order, *horizon, complex_])
     sys = weighted_shift_system(rng, order, horizon, complex_, zero_from, tiny)
     assert sys._coordinate_entries is not None
+    kernel, mod = _coordinate_kernel(sys)
+    moduli = np.abs(sys._coordinate_entries[1])
+    np.testing.assert_array_equal(kernel.ravel(), ~rank_mask(moduli))
+    np.testing.assert_array_equal(mod.ravel(), moduli)
+    # a 1e-12 weight puts a nonzero column in the kernel
+    assert (kernel.ravel() & (moduli > 0.0)).any() == (tiny is not None)
     u, s, vh = sys.svd
     ref_u, ref_s, ref_vh = np.linalg.svd(sys.synthesis, full_matrices=False)
     assert (u.shape, s.shape, vh.shape) == (ref_u.shape, ref_s.shape, ref_vh.shape)
@@ -1507,11 +1550,12 @@ TRANSPORTABLE = WEIGHTED_CASES[:8]
 
 
 @pytest.mark.filterwarnings("ignore:horizon")
-def test_rowspace_gap_matches_subspace_distance():
+def test_rowspace_gap_matches_subspace_distance(monkeypatch):
     """rowspace_gap agrees with the two-term subspace_distance of the row
-    spaces, both ways round: a coordinate system against a dense one, two
-    dense systems of equal rank, and unequal ranks; two coordinate systems
-    give exactly 0.0 or 1.0, as the dense formula does."""
+    spaces, both ways round: a coordinate system against a dense one and
+    two dense systems of equal rank; two coordinate systems give exactly
+    0.0 or 1.0, as the dense formula does.  Unequal ranks give exactly
+    1.0 with no product, the dense formula 1.0 to TOL."""
     pairs = []
     for seed, case in enumerate(TRANSPORTABLE):
         sys = weighted_shift_system(np.random.default_rng(seed), *case)
@@ -1595,15 +1639,26 @@ def test_rowspace_gap_matches_subspace_distance():
     cut = weighted_shift_system(np.random.default_rng(8), (5, 3), (8, 6), zero_from=(2, 1))
     assert full.rank() != cut.rank()
     # a rank-deficient b against a full-rank coordinate a falls back from
-    # its block to the two-term formula
+    # its block to the rank rule: the gap of unequal ranks is exactly 1.0,
+    # and no spectral norm is taken
     deficient = transported(cut, 9)
     assert full.rank() == deficient.triple.dim
-    assert moved_frame_report(full, deficient)[0] == ref_gap(full, deficient)
+    unequal = ((full, deficient), (transported(full, 10), transported(cut, 11)))
+    norms = []
+    real_opnorm = bidiscframes._linalg.opnorm
+    for module in (bidiscframes._linalg, bidiscframes.frames):
+        monkeypatch.setattr(module, "opnorm", lambda x: norms.append(x) or real_opnorm(x))
+    assert moved_frame_report(full, deficient)[0] == 1.0
     assert "svd" in vars(deficient)
     assert deficient.rank() < deficient.triple.dim
-    for a, b in ((full, deficient), (transported(full, 10), transported(cut, 11))):
+    for a, b in unequal:
         for x, y in ((a, b), (b, a)):
-            assert rowspace_gap(x, y) == ref_gap(x, y)
+            assert rowspace_gap(x, y) == 1.0
+    assert norms == []
+    monkeypatch.undo()
+    for a, b in unequal:
+        for x, y in ((a, b), (b, a)):
+            assert ref_gap(x, y) == pytest.approx(1.0, abs=TOL)
     # fewer columns than dim: a coordinate rank below dim takes no block
     short = weighted_shift_system(np.random.default_rng(13), (4, 4), (2, 2))
     assert short.ncols < short.triple.dim
